@@ -1,6 +1,7 @@
 #include "fleet/blame.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace contender::fleet {
 
@@ -16,6 +17,38 @@ double Overlap(const sched::RequestOutcome& a,
   return std::max(0.0, hi - lo);
 }
 
+/// (victim, candidate) index pairs, sorted, covering every pair of
+/// outcomes whose intervals can overlap: a sweep in admit order keeps the
+/// intervals still open at each admit. It is a conservative prefilter —
+/// an interval is closed only once it ends at or before an admit, which
+/// no later-admitted interval can then overlap — so the exact Overlap
+/// test still decides. Sorted pairs give each victim its candidates in
+/// ascending local id, the order of a scan over all outcomes.
+std::vector<std::pair<size_t, size_t>> CoResidentCandidates(
+    const std::vector<sched::RequestOutcome>& outcomes) {
+  std::vector<std::pair<double, size_t>> by_admit;
+  by_admit.reserve(outcomes.size());
+  for (size_t i = 0; i < outcomes.size(); ++i) {
+    by_admit.emplace_back(outcomes[i].admit_time.value(), i);
+  }
+  std::sort(by_admit.begin(), by_admit.end());
+
+  std::vector<std::pair<size_t, size_t>> pairs;
+  std::vector<size_t> open;
+  for (const auto& [admit, i] : by_admit) {
+    std::erase_if(open, [&](size_t j) {
+      return outcomes[j].completion_time.value() <= admit;
+    });
+    for (const size_t j : open) {
+      pairs.emplace_back(i, j);
+      pairs.emplace_back(j, i);
+    }
+    open.push_back(i);
+  }
+  std::sort(pairs.begin(), pairs.end());
+  return pairs;
+}
+
 }  // namespace
 
 std::vector<QueryBlame> ComputeNodeBlame(const NodeResult& node,
@@ -24,6 +57,16 @@ std::vector<QueryBlame> ComputeNodeBlame(const NodeResult& node,
       node.schedule.outcomes;
   std::vector<QueryBlame> blames;
   blames.reserve(outcomes.size());
+  const std::vector<std::pair<size_t, size_t>> pairs =
+      CoResidentCandidates(outcomes);
+  size_t next_pair = 0;
+
+  struct Candidate {
+    size_t index;
+    double overlap;
+    double weight;
+  };
+  std::vector<Candidate> candidates;
 
   for (size_t i = 0; i < outcomes.size(); ++i) {
     const sched::RequestOutcome& victim = outcomes[i];
@@ -38,20 +81,16 @@ std::vector<QueryBlame> ComputeNodeBlame(const NodeResult& node,
         std::max(0.0, (victim.execution_latency -
                        blame.isolated_latency).value()));
 
-    // Co-residency scan: every other outcome whose execution interval
-    // overlaps the victim's. Local ids are dense, so index order == id
-    // order == deterministic share order (by culprit fleet id after the
-    // node's sort, which preserves arrival order).
-    struct Candidate {
-      size_t index;
-      double overlap;
-      double weight;
-    };
-    std::vector<Candidate> candidates;
+    // Co-residency: every other outcome whose execution interval overlaps
+    // the victim's, in local id order. Local ids are dense, so id order ==
+    // deterministic share order (by culprit fleet id after the node's
+    // sort, which preserves arrival order).
+    candidates.clear();
     double weighted_sum = 0.0;
     double overlap_sum = 0.0;
-    for (size_t j = 0; j < outcomes.size(); ++j) {
-      if (j == i) continue;
+    for (; next_pair < pairs.size() && pairs[next_pair].first == i;
+         ++next_pair) {
+      const size_t j = pairs[next_pair].second;
       const double overlap = Overlap(victim, outcomes[j]);
       if (overlap <= 0.0) continue;
       // Pairwise antagonism: how much a mix of exactly this co-runner is

@@ -52,26 +52,31 @@ RequestQueue::RequestQueue(std::vector<Request> requests)
 }
 
 void RequestQueue::Push(const Request& request) {
-  auto pos = std::upper_bound(requests_.begin(), requests_.end(), request,
-                              QueueBefore);
+  auto pos = std::upper_bound(
+      requests_.begin() + static_cast<std::ptrdiff_t>(head_), requests_.end(),
+      request, QueueBefore);
   requests_.insert(pos, request);
 }
 
 size_t RequestQueue::ArrivedBy(units::Seconds t) const {
   size_t n = 0;
-  while (n < requests_.size() && requests_[n].arrival_time <= t) ++n;
+  while (n < size() && at(n).arrival_time <= t) ++n;
   return n;
 }
 
 units::Seconds RequestQueue::NextArrival() const {
-  CONTENDER_CHECK(!requests_.empty());
-  return requests_.front().arrival_time;
+  CONTENDER_CHECK(!empty());
+  return at(0).arrival_time;
 }
 
 Request RequestQueue::Take(size_t i) {
-  CONTENDER_CHECK(i < requests_.size());
-  Request r = requests_[i];
-  requests_.erase(requests_.begin() + static_cast<std::ptrdiff_t>(i));
+  CONTENDER_CHECK(i < size());
+  const auto first = requests_.begin() + static_cast<std::ptrdiff_t>(head_);
+  const auto pos = first + static_cast<std::ptrdiff_t>(i);
+  Request r = std::move(*pos);
+  // Shift the i requests ahead of it back one slot, keeping queue order.
+  std::move_backward(first, pos, pos + 1);
+  ++head_;
   return r;
 }
 

@@ -77,10 +77,10 @@ class RequestQueue {
   /// Inserts preserving (arrival, id) order.
   void Push(const Request& request);
 
-  [[nodiscard]] bool empty() const { return requests_.empty(); }
-  [[nodiscard]] size_t size() const { return requests_.size(); }
+  [[nodiscard]] bool empty() const { return head_ == requests_.size(); }
+  [[nodiscard]] size_t size() const { return requests_.size() - head_; }
   [[nodiscard]] const Request& at(size_t i) const {
-    return requests_[i];
+    return requests_[head_ + i];
   }
 
   /// Number of leading requests with arrival_time <= t (the admissible
@@ -90,11 +90,16 @@ class RequestQueue {
   /// Earliest arrival among queued requests; queue must be non-empty.
   [[nodiscard]] units::Seconds NextArrival() const;
 
-  /// Removes and returns the request at position i.
+  /// Removes and returns the request at position i. Costs O(i): the
+  /// queue holds every future arrival, and taking near the head must not
+  /// shift them all.
   Request Take(size_t i);
 
  private:
+  // Queued requests are requests_[head_..]; taken ones below head_ are
+  // dead slots.
   std::vector<Request> requests_;
+  size_t head_ = 0;
 };
 
 }  // namespace contender::sched

@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <map>
+#include <functional>
 
-#include "sim/disk.h"
 #include "util/logging.h"
 
 namespace contender::sim {
@@ -14,6 +13,9 @@ namespace {
 // Demand remainders below these thresholds count as exhausted.
 constexpr double kByteEps = 0.5;
 constexpr double kCpuEps = 1e-9;
+
+// Orders the pending heap so its top is the earliest (start_time, id).
+using PendingOrder = std::greater<std::pair<double, int>>;
 }  // namespace
 
 Engine::Engine(const SimConfig& config, uint64_t seed)
@@ -40,13 +42,10 @@ int Engine::AddProcess(const QuerySpec& spec, units::Seconds start) {
   p.result.name = spec.name;
   p.result.start_time = start_time;
   processes_.push_back(std::move(p));
-  pending_.push_back(id);
-  std::sort(pending_.begin(), pending_.end(), [&](int a, int b) {
-    const double ta = processes_[static_cast<size_t>(a)].result.start_time;
-    const double tb = processes_[static_cast<size_t>(b)].result.start_time;
-    if (ta != tb) return ta < tb;
-    return a < b;  // deterministic tie-break: insertion order
-  });
+  if (!spec.immortal) ++live_mortal_;
+  // Deterministic tie-break on equal start times: insertion order.
+  pending_.emplace_back(start_time, id);
+  std::push_heap(pending_.begin(), pending_.end(), PendingOrder());
   return id;
 }
 
@@ -67,11 +66,14 @@ void Engine::UpdateBufferPoolCapacity() {
 }
 
 void Engine::ActivateArrivals() {
+  arrivals_.clear();
   while (!pending_.empty()) {
-    const int id = pending_.front();
+    if (pending_.front().first > now_ + kEps) break;
+    const int id = pending_.front().second;
+    std::pop_heap(pending_.begin(), pending_.end(), PendingOrder());
+    pending_.pop_back();
+    arrivals_.push_back(id);
     Process& p = processes_[static_cast<size_t>(id)];
-    if (p.result.start_time > now_ + kEps) break;
-    pending_.erase(pending_.begin());
     p.arrived = true;
     p.result.start_time = now_;
     // Pin memory with priority; the pin is bounded by what exists.
@@ -85,11 +87,21 @@ void Engine::ActivateArrivals() {
         std::max(p.result.max_memory_granted, pin);
     UpdateBufferPoolCapacity();
   }
+  // Merge the new ids into the id-ordered active set. They usually all
+  // exceed its last id, and then the append alone keeps it sorted.
+  if (arrivals_.empty()) return;
+  std::sort(arrivals_.begin(), arrivals_.end());
+  const size_t old_size = active_.size();
+  active_.insert(active_.end(), arrivals_.begin(), arrivals_.end());
+  if (old_size > 0 && active_[old_size - 1] > active_[old_size]) {
+    std::inplace_merge(active_.begin(),
+                       active_.begin() + static_cast<std::ptrdiff_t>(old_size),
+                       active_.end());
+  }
 }
 
 double Engine::NextArrivalTime() const {
-  if (pending_.empty()) return kInfinity;
-  return processes_[static_cast<size_t>(pending_.front())].result.start_time;
+  return pending_.empty() ? kInfinity : pending_.front().first;
 }
 
 bool Engine::PhaseDone(const Process& p) {
@@ -175,8 +187,9 @@ double Engine::RevokeMemoryFromLargerHolders(Process* requester, double need,
   double freed = 0.0;
   while (need > 0.0) {
     Process* victim = nullptr;
-    for (Process& cand : processes_) {
-      if (&cand == requester || cand.done || !cand.arrived) continue;
+    for (const int id : active_) {
+      Process& cand = processes_[static_cast<size_t>(id)];
+      if (&cand == requester || cand.done) continue;
       // Only working sets of comparable or larger size are reclaim
       // victims; small residents are left alone.
       if (cand.mem_granted <= 0.5 * requester_demand) continue;
@@ -220,6 +233,8 @@ void Engine::CompletePhase(Process* p) {
 
 void Engine::CompleteProcess(Process* p) {
   p->done = true;
+  ++num_done_;
+  if (!p->spec.immortal) --live_mortal_;
   p->phase_ready = false;
   p->result.end_time = now_;
   p->result.completed = true;
@@ -230,86 +245,87 @@ void Engine::CompleteProcess(Process* p) {
     pinned_memory_ = std::max(0.0, pinned_memory_ - p->spec.pinned_memory_bytes);
     UpdateBufferPoolCapacity();
   }
+  // Last: the callback may add processes, which invalidates `p`.
   if (completion_callback_) completion_callback_(p->result);
 }
 
 bool Engine::Step() {
+  // Drop the processes that finished during the previous step.
+  std::erase_if(active_, [&](int id) {
+    return processes_[static_cast<size_t>(id)].done;
+  });
   const size_t pending_before = pending_.size();
-  size_t done_before = 0;
-  for (const Process& p : processes_) {
-    if (p.done) ++done_before;
-  }
+  const size_t done_before = num_done_;
 
   ActivateArrivals();
 
-  for (Process& p : processes_) {
-    if (p.arrived && !p.done && !p.phase_ready) InitPhase(&p);
+  // Indexed loops re-read processes_ on every iteration: InitPhase can
+  // complete a zero-demand process whose callback adds (and reallocates)
+  // processes. Added processes are pending, so active_ is stable.
+  const size_t m = active_.size();
+  for (size_t k = 0; k < m; ++k) {
+    Process& p = processes_[static_cast<size_t>(active_[k])];
+    if (!p.done && !p.phase_ready) InitPhase(&p);
   }
 
   // Build disk demand: shared scan groups for non-negative tables, private
   // sequential streams for negative tables, and seek-bound random streams
   // for index I/O and spill (swap) traffic.
-  std::map<TableId, std::vector<size_t>> scan_groups;
+  scan_members_.clear();
+  rnd_streams_.clear();
+  demand_.random_stream_caps.clear();
   int private_streams = 0;
-  enum class RndKind { kIndex, kSpill };
-  std::vector<std::pair<size_t, RndKind>> rnd_streams;
-  DiskDemand demand;
-  for (size_t i = 0; i < processes_.size(); ++i) {
-    Process& p = processes_[i];
-    if (!p.arrived || p.done || !p.phase_ready) continue;
+  int cpu_active = 0;
+  for (size_t k = 0; k < m; ++k) {
+    const Process& p = processes_[static_cast<size_t>(active_[k])];
+    if (p.done || !p.phase_ready) continue;
     if (p.seq_remaining > kByteEps) {
       if (p.seq_table >= 0) {
-        scan_groups[p.seq_table].push_back(i);
+        scan_members_.emplace_back(p.seq_table, k);
       } else {
         ++private_streams;
       }
     }
     if (p.rnd_remaining > kByteEps) {
-      rnd_streams.emplace_back(i, RndKind::kIndex);
-      demand.random_stream_caps.push_back(config_.random_bandwidth *
-                                          p.rnd_rate_multiplier);
+      rnd_streams_.emplace_back(k, false);
+      demand_.random_stream_caps.push_back(config_.random_bandwidth *
+                                           p.rnd_rate_multiplier);
     }
     if (p.spill_remaining > kByteEps) {
-      rnd_streams.emplace_back(i, RndKind::kSpill);
-      demand.random_stream_caps.push_back(config_.spill_bandwidth *
-                                          p.spill_rate_multiplier);
+      rnd_streams_.emplace_back(k, true);
+      demand_.random_stream_caps.push_back(config_.spill_bandwidth *
+                                           p.spill_rate_multiplier);
     }
+    if (p.cpu_remaining > kCpuEps) ++cpu_active;
   }
-  demand.num_seq_groups =
-      static_cast<int>(scan_groups.size()) + private_streams;
-  const DiskAllocation alloc = AllocateDiskBandwidth(config_, demand);
+  // Scan groups: runs of equal table ids once sorted.
+  std::sort(scan_members_.begin(), scan_members_.end());
+  int scan_groups = 0;
+  rates_.assign(m, StepRates{});
+  for (size_t a = 0; a < scan_members_.size();) {
+    size_t b = a;
+    while (b < scan_members_.size() &&
+           scan_members_[b].first == scan_members_[a].first) {
+      ++b;
+    }
+    for (size_t c = a; c < b; ++c) {
+      rates_[scan_members_[c].second].group_size = static_cast<int>(b - a);
+    }
+    ++scan_groups;
+    a = b;
+  }
+  demand_.num_seq_groups = scan_groups + private_streams;
+  const DiskAllocation alloc = AllocateDiskBandwidth(config_, demand_);
 
   // Per-process rates.
-  const size_t n = processes_.size();
-  std::vector<double> seq_rate(n, 0.0), spill_rate(n, 0.0), rnd_rate(n, 0.0);
-  std::vector<int> group_size(n, 1);
-  for (const auto& [table, members] : scan_groups) {
-    for (size_t i : members) {
-      seq_rate[i] = alloc.seq_group_rate;
-      group_size[i] = static_cast<int>(members.size());
-    }
+  for (size_t k = 0; k < m; ++k) {
+    const Process& p = processes_[static_cast<size_t>(active_[k])];
+    if (p.done || !p.phase_ready) continue;
+    if (p.seq_remaining > kByteEps) rates_[k].seq = alloc.seq_group_rate;
   }
-  for (size_t i = 0; i < n; ++i) {
-    Process& p = processes_[i];
-    if (!p.arrived || p.done || !p.phase_ready) continue;
-    if (p.seq_remaining > kByteEps && p.seq_table < 0) {
-      seq_rate[i] = alloc.seq_group_rate;
-    }
-  }
-  for (size_t k = 0; k < rnd_streams.size(); ++k) {
-    const auto& [i, kind] = rnd_streams[k];
-    if (kind == RndKind::kIndex) {
-      rnd_rate[i] = alloc.random_stream_rates[k];
-    } else {
-      spill_rate[i] = alloc.random_stream_rates[k];
-    }
-  }
-
-  int cpu_active = 0;
-  for (const Process& p : processes_) {
-    if (p.arrived && !p.done && p.phase_ready && p.cpu_remaining > kCpuEps) {
-      ++cpu_active;
-    }
+  for (size_t s = 0; s < rnd_streams_.size(); ++s) {
+    const auto& [k, spill] = rnd_streams_[s];
+    (spill ? rates_[k].spill : rates_[k].rnd) = alloc.random_stream_rates[s];
   }
   const double cpu_rate =
       cpu_active == 0
@@ -319,17 +335,18 @@ bool Engine::Step() {
 
   // Earliest completion among all active demands, capped by next arrival.
   double dt = kInfinity;
-  for (size_t i = 0; i < n; ++i) {
-    const Process& p = processes_[i];
-    if (!p.arrived || p.done || !p.phase_ready) continue;
-    if (p.seq_remaining > kByteEps && seq_rate[i] > 0.0) {
-      dt = std::min(dt, p.seq_remaining / seq_rate[i]);
+  for (size_t k = 0; k < m; ++k) {
+    const Process& p = processes_[static_cast<size_t>(active_[k])];
+    if (p.done || !p.phase_ready) continue;
+    const StepRates& r = rates_[k];
+    if (p.seq_remaining > kByteEps && r.seq > 0.0) {
+      dt = std::min(dt, p.seq_remaining / r.seq);
     }
-    if (p.spill_remaining > kByteEps && spill_rate[i] > 0.0) {
-      dt = std::min(dt, p.spill_remaining / spill_rate[i]);
+    if (p.spill_remaining > kByteEps && r.spill > 0.0) {
+      dt = std::min(dt, p.spill_remaining / r.spill);
     }
-    if (p.rnd_remaining > kByteEps && rnd_rate[i] > 0.0) {
-      dt = std::min(dt, p.rnd_remaining / rnd_rate[i]);
+    if (p.rnd_remaining > kByteEps && r.rnd > 0.0) {
+      dt = std::min(dt, p.rnd_remaining / r.rnd);
     }
     if (p.cpu_remaining > kCpuEps && cpu_rate > 0.0) {
       dt = std::min(dt, p.cpu_remaining / cpu_rate);
@@ -344,11 +361,7 @@ bool Engine::Step() {
     }
     // No advanceable demand: the step still made progress if it activated
     // arrivals or completed zero-demand processes (e.g., full cache hits).
-    size_t done_now = 0;
-    for (const Process& p : processes_) {
-      if (p.done) ++done_now;
-    }
-    return done_now != done_before || pending_.size() != pending_before;
+    return num_done_ != done_before || pending_.size() != pending_before;
   }
   if (has_arrival && arrival_gap < dt) {
     dt = std::max(0.0, arrival_gap);
@@ -356,26 +369,27 @@ bool Engine::Step() {
 
   // Advance.
   now_ += dt;
-  for (size_t i = 0; i < n; ++i) {
-    Process& p = processes_[i];
-    if (!p.arrived || p.done || !p.phase_ready) continue;
+  for (size_t k = 0; k < m; ++k) {
+    Process& p = processes_[static_cast<size_t>(active_[k])];
+    if (p.done || !p.phase_ready) continue;
+    const StepRates& r = rates_[k];
     const bool had_io = p.seq_remaining > kByteEps ||
                         p.spill_remaining > kByteEps ||
                         p.rnd_remaining > kByteEps;
-    if (p.seq_remaining > kByteEps && seq_rate[i] > 0.0) {
-      const double bytes = std::min(p.seq_remaining, seq_rate[i] * dt);
+    if (p.seq_remaining > kByteEps && r.seq > 0.0) {
+      const double bytes = std::min(p.seq_remaining, r.seq * dt);
       p.seq_remaining -= bytes;
-      const double share = static_cast<double>(group_size[i]);
+      const double share = static_cast<double>(r.group_size);
       p.result.disk_bytes_read += bytes / share;
       p.result.bytes_saved_by_shared_scan += bytes * (share - 1.0) / share;
     }
-    if (p.spill_remaining > kByteEps && spill_rate[i] > 0.0) {
-      const double bytes = std::min(p.spill_remaining, spill_rate[i] * dt);
+    if (p.spill_remaining > kByteEps && r.spill > 0.0) {
+      const double bytes = std::min(p.spill_remaining, r.spill * dt);
       p.spill_remaining -= bytes;
       p.result.disk_bytes_read += bytes;
     }
-    if (p.rnd_remaining > kByteEps && rnd_rate[i] > 0.0) {
-      const double bytes = std::min(p.rnd_remaining, rnd_rate[i] * dt);
+    if (p.rnd_remaining > kByteEps && r.rnd > 0.0) {
+      const double bytes = std::min(p.rnd_remaining, r.rnd * dt);
       p.rnd_remaining -= bytes;
       p.result.disk_bytes_read += bytes;
     }
@@ -393,9 +407,9 @@ bool Engine::Step() {
   }
 
   // Phase / process completions (callbacks may add arrivals).
-  for (size_t i = 0; i < n; ++i) {
-    Process& p = processes_[i];
-    if (!p.arrived || p.done || !p.phase_ready) continue;
+  for (size_t k = 0; k < m; ++k) {
+    Process& p = processes_[static_cast<size_t>(active_[k])];
+    if (p.done || !p.phase_ready) continue;
     if (PhaseDone(p)) {
       CompletePhase(&p);
       InitPhase(&p);
@@ -406,15 +420,7 @@ bool Engine::Step() {
 
 Status Engine::Run() {
   stop_requested_ = false;
-  while (!stop_requested_) {
-    bool mortal_active = false;
-    for (const Process& p : processes_) {
-      if (!p.spec.immortal && !p.done) {
-        mortal_active = true;
-        break;
-      }
-    }
-    if (!mortal_active) break;
+  while (!stop_requested_ && live_mortal_ > 0) {
     if (!Step()) {
       return Status::Internal("engine stalled with unfinished processes");
     }

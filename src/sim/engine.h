@@ -13,16 +13,23 @@
 //   - CPU: one core per process, processor sharing when oversubscribed.
 // The engine advances to the earliest demand completion / arrival, updates
 // accounting, and re-solves rates.
+//
+// Cost: a step touches only the active set (arrived, unfinished processes,
+// kept in ascending id order) plus the arrival heap, so it costs
+// O(active + log pending) however many processes have finished; a run
+// over n queries is linear in n at bounded concurrency.
 
 #ifndef CONTENDER_SIM_ENGINE_H_
 #define CONTENDER_SIM_ENGINE_H_
 
 #include <functional>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "sim/buffer_pool.h"
 #include "sim/config.h"
+#include "sim/disk.h"
 #include "sim/query_spec.h"
 #include "util/random.h"
 #include "util/status.h"
@@ -36,7 +43,9 @@ namespace contender::sim {
 class Engine {
  public:
   /// Invoked when a process completes; may call AddProcess (steady-state
-  /// drivers) and may request a stop via RequestStop().
+  /// drivers) and may request a stop via RequestStop(). The ProcessResult&
+  /// refers into the engine's process table: it is invalid once the
+  /// callback calls AddProcess (copy what is needed first).
   using CompletionCallback = std::function<void(const ProcessResult&)>;
 
   Engine(const SimConfig& config, uint64_t seed);
@@ -126,8 +135,32 @@ class Engine {
   bool stop_requested_ = false;
 
   std::vector<Process> processes_;
-  // Indices of processes not yet arrived, kept sorted by start time.
-  std::vector<int> pending_;
+  // Arrived, unfinished process ids in ascending id order. Finished ids
+  // are dropped at the start of the next step, so every loop over the
+  // active set visits processes in the same order as a scan over
+  // processes_ would.
+  std::vector<int> active_;
+  // Processes not yet arrived: a min-heap on (start_time, id), the
+  // arrival order with insertion order breaking ties.
+  std::vector<std::pair<double, int>> pending_;
+  size_t num_done_ = 0;
+  // Mortal processes added but not yet completed (pending ones included).
+  size_t live_mortal_ = 0;
+
+  // Per-step scratch reused across steps; rate entries are indexed by
+  // position in active_.
+  struct StepRates {
+    double seq = 0.0;
+    double spill = 0.0;
+    double rnd = 0.0;
+    int group_size = 1;
+  };
+  std::vector<StepRates> rates_;
+  std::vector<std::pair<TableId, size_t>> scan_members_;
+  // (active position, is spill) per random stream, in demand order.
+  std::vector<std::pair<size_t, bool>> rnd_streams_;
+  DiskDemand demand_;
+  std::vector<int> arrivals_;
 
   BufferPool buffer_pool_;
   double pinned_memory_ = 0.0;

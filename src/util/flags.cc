@@ -1,9 +1,33 @@
 #include "util/flags.h"
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <string_view>
 
 namespace contender {
+
+namespace {
+
+/// Exits with status 2 (bad usage), naming the flag and its value.
+[[noreturn]] void RejectFlag(const std::string& name, const std::string& value,
+                             const char* expected) {
+  std::fprintf(stderr, "invalid value '%s' for flag --%s: expected %s\n",
+               value.c_str(), name.c_str(), expected);
+  std::exit(2);
+}
+
+/// strtoll/strtod accept leading whitespace, trailing garbage and
+/// saturate on overflow; a flag value must be the whole number and fit.
+bool WholeAndInRange(const std::string& value, const char* end) {
+  return !value.empty() && std::isspace(static_cast<unsigned char>(
+                               value.front())) == 0 &&
+         end == value.c_str() + value.size() && errno != ERANGE;
+}
+
+}  // namespace
 
 Flags::Flags(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
@@ -35,14 +59,28 @@ std::string Flags::GetString(const std::string& name,
 
 int64_t Flags::GetInt(const std::string& name, int64_t default_value) const {
   auto it = values_.find(name);
-  return it == values_.end() ? default_value
-                             : std::strtoll(it->second.c_str(), nullptr, 10);
+  if (it == values_.end()) return default_value;
+  const std::string& value = it->second;
+  char* end = nullptr;
+  errno = 0;
+  const long long parsed = std::strtoll(value.c_str(), &end, 10);
+  if (!WholeAndInRange(value, end)) {
+    RejectFlag(name, value, "a 64-bit integer");
+  }
+  return parsed;
 }
 
 double Flags::GetDouble(const std::string& name, double default_value) const {
   auto it = values_.find(name);
-  return it == values_.end() ? default_value
-                             : std::strtod(it->second.c_str(), nullptr);
+  if (it == values_.end()) return default_value;
+  const std::string& value = it->second;
+  char* end = nullptr;
+  errno = 0;
+  const double parsed = std::strtod(value.c_str(), &end);
+  if (!WholeAndInRange(value, end) || !std::isfinite(parsed)) {
+    RejectFlag(name, value, "a finite number");
+  }
+  return parsed;
 }
 
 bool Flags::GetBool(const std::string& name, bool default_value) const {

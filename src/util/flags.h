@@ -1,7 +1,10 @@
 // Tiny command-line flag parser for bench and example binaries.
 //
 // Supports "--name=value" and "--name value" syntax plus boolean
-// "--name" / "--no-name". Unknown flags are reported but not fatal.
+// "--name" / "--no-name". Unknown flags are reported but not fatal. A
+// numeric flag whose value is not a whole in-range number (empty, "abc",
+// "12x", overflow) is a usage error: the binary exits with status 2 and a
+// message naming the flag.
 
 #ifndef CONTENDER_UTIL_FLAGS_H_
 #define CONTENDER_UTIL_FLAGS_H_

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -127,6 +128,152 @@ TEST(BlameTest, CarriesTenantAndTemplateIdentity) {
       EXPECT_TRUE(share.culprit_template == 0 || share.culprit_template == 1);
     }
   }
+}
+
+/// The all-pairs attribution ComputeNodeBlame replaced: every outcome is
+/// tested against every victim. Kept as the reference the sweep must
+/// reproduce exactly, including the oracle probe sequence.
+std::vector<QueryBlame> AllPairsBlame(const NodeResult& node,
+                                      const sched::MixOracle& oracle) {
+  const std::vector<sched::RequestOutcome>& outcomes =
+      node.schedule.outcomes;
+  std::vector<QueryBlame> blames;
+  for (size_t i = 0; i < outcomes.size(); ++i) {
+    const sched::RequestOutcome& victim = outcomes[i];
+    QueryBlame blame;
+    blame.request_id = node.global_ids[i];
+    blame.tenant_id = victim.request.tenant_id;
+    blame.template_index = victim.request.template_index;
+    blame.isolated_latency =
+        oracle.IsolatedLatency(victim.request.template_index);
+    blame.execution_latency = victim.execution_latency;
+    blame.excess = units::Seconds(std::max(
+        0.0, (victim.execution_latency - blame.isolated_latency).value()));
+    struct Candidate {
+      size_t index;
+      double overlap;
+      double weight;
+    };
+    std::vector<Candidate> candidates;
+    double weighted_sum = 0.0;
+    double overlap_sum = 0.0;
+    for (size_t j = 0; j < outcomes.size(); ++j) {
+      if (j == i) continue;
+      const double lo = std::max(victim.admit_time.value(),
+                                 outcomes[j].admit_time.value());
+      const double hi = std::min(victim.completion_time.value(),
+                                 outcomes[j].completion_time.value());
+      const double overlap = std::max(0.0, hi - lo);
+      if (overlap <= 0.0) continue;
+      const double antagonism = std::max(
+          0.0, (oracle.PredictInMix(victim.request.template_index,
+                                    {outcomes[j].request.template_index}) -
+                blame.isolated_latency)
+                   .value());
+      candidates.push_back({j, overlap, overlap * antagonism});
+      weighted_sum += overlap * antagonism;
+      overlap_sum += overlap;
+    }
+    double attributed = 0.0;
+    if (!candidates.empty() && blame.excess.value() > 0.0) {
+      const bool use_weights = weighted_sum > 0.0;
+      const double denom = use_weights ? weighted_sum : overlap_sum;
+      for (const Candidate& c : candidates) {
+        const double mass = use_weights ? c.weight : c.overlap;
+        const double share = blame.excess.value() * (mass / denom);
+        if (share <= 0.0) continue;
+        const sched::RequestOutcome& culprit = outcomes[c.index];
+        BlameShare s;
+        s.culprit_request = node.global_ids[c.index];
+        s.culprit_tenant = culprit.request.tenant_id;
+        s.culprit_template = culprit.request.template_index;
+        s.seconds = units::Seconds(share);
+        blame.shares.push_back(s);
+        attributed += share;
+      }
+    }
+    blame.self_blame = units::Seconds(blame.excess.value() - attributed);
+    blames.push_back(std::move(blame));
+  }
+  return blames;
+}
+
+TEST(BlameTest, SweepMatchesAllPairsReferenceExactly) {
+  // Bursts of 12 simultaneous arrivals every 400 s on an MPL-3 node with
+  // CoDel shedding: each burst starts with simultaneous admits into idle
+  // slots, and its tail queues long enough to be shed.
+  std::vector<sched::Request> assigned;
+  for (int burst = 0; burst < 50; ++burst) {
+    for (int k = 0; k < 12; ++k) {
+      const int id = burst * 12 + k;
+      sched::Request r = MakeRequest(id, (id * 7) % 25, 400.0 * burst);
+      r.tenant_id = id % 3;
+      assigned.push_back(r);
+    }
+  }
+  NodeOptions options;
+  options.target_mpl = 3;
+  options.overload.codel_shed = true;
+  options.overload.codel.target = units::Seconds(30.0);
+  options.overload.codel.interval = units::Seconds(60.0);
+
+  // Two identical runs give two oracles in the same state, one for each
+  // implementation.
+  Node reference_node(&PaperWorkload(), DefaultConfig(), &SharedPredictor(),
+                      options);
+  Node node(&PaperWorkload(), DefaultConfig(), &SharedPredictor(), options);
+  auto reference_run = reference_node.Run(assigned);
+  auto run = node.Run(assigned);
+  ASSERT_TRUE(reference_run.ok()) << reference_run.status();
+  ASSERT_TRUE(run.ok()) << run.status();
+  ASSERT_EQ(node.oracle().hits(), reference_node.oracle().hits());
+  ASSERT_EQ(node.oracle().misses(), reference_node.oracle().misses());
+
+  const std::vector<sched::RequestOutcome>& outcomes = run->schedule.outcomes;
+  ASSERT_GE(outcomes.size(), 500u);
+  int sheds = 0;
+  int simultaneous_admits = 0;
+  for (size_t i = 0; i < outcomes.size(); ++i) {
+    if (outcomes[i].shed) ++sheds;
+    if (!outcomes[i].completed) continue;
+    for (size_t j = i + 1; j < outcomes.size(); ++j) {
+      if (outcomes[j].completed &&
+          outcomes[j].admit_time == outcomes[i].admit_time) {
+        ++simultaneous_admits;
+      }
+    }
+  }
+  ASSERT_GT(sheds, 0) << "the run must exercise shed outcomes";
+  ASSERT_GT(simultaneous_admits, 0) << "the run must admit simultaneously";
+
+  const std::vector<QueryBlame> expected =
+      AllPairsBlame(*reference_run, reference_node.oracle());
+  const std::vector<QueryBlame> actual = ComputeNodeBlame(*run, node.oracle());
+  ASSERT_EQ(actual.size(), expected.size());
+  size_t total_shares = 0;
+  for (size_t i = 0; i < actual.size(); ++i) {
+    const QueryBlame& a = actual[i];
+    const QueryBlame& e = expected[i];
+    EXPECT_EQ(a.request_id, e.request_id) << i;
+    EXPECT_EQ(a.tenant_id, e.tenant_id) << i;
+    EXPECT_EQ(a.template_index, e.template_index) << i;
+    EXPECT_EQ(a.isolated_latency, e.isolated_latency) << i;
+    EXPECT_EQ(a.execution_latency, e.execution_latency) << i;
+    EXPECT_EQ(a.excess, e.excess) << i;
+    EXPECT_EQ(a.self_blame, e.self_blame) << i;
+    ASSERT_EQ(a.shares.size(), e.shares.size()) << i;
+    for (size_t k = 0; k < a.shares.size(); ++k) {
+      EXPECT_EQ(a.shares[k].culprit_request, e.shares[k].culprit_request);
+      EXPECT_EQ(a.shares[k].culprit_tenant, e.shares[k].culprit_tenant);
+      EXPECT_EQ(a.shares[k].culprit_template, e.shares[k].culprit_template);
+      EXPECT_EQ(a.shares[k].seconds, e.shares[k].seconds);
+    }
+    total_shares += a.shares.size();
+  }
+  EXPECT_GT(total_shares, 0u);
+  // Same probes in the same order: the memos end in the same state.
+  EXPECT_EQ(node.oracle().hits(), reference_node.oracle().hits());
+  EXPECT_EQ(node.oracle().misses(), reference_node.oracle().misses());
 }
 
 }  // namespace

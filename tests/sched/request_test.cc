@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <utility>
 #include <vector>
 
@@ -176,6 +178,46 @@ TEST(RequestQueueTest, PushKeepsQueueOrder) {
   EXPECT_EQ(queue.at(0).request_id, 1);
   EXPECT_EQ(queue.at(1).request_id, 0);
   EXPECT_EQ(queue.at(2).request_id, 2);
+}
+
+TEST(RequestQueueTest, InterleavedTakesAndPushesMatchAVector) {
+  // The reference: a plain vector in queue order, erased in place.
+  std::vector<Request> model;
+  std::vector<Request> initial;
+  for (int id = 0; id < 40; ++id) {
+    initial.push_back(MakeRequest(id, static_cast<double>((id * 7) % 13)));
+  }
+  RequestQueue queue(initial);
+  for (size_t i = 0; i < queue.size(); ++i) model.push_back(queue.at(i));
+  int next_id = 40;
+  for (size_t step = 0; !model.empty(); ++step) {
+    const size_t pick = (step * 5) % std::min<size_t>(model.size(), 4);
+    const Request taken = queue.Take(pick);
+    EXPECT_EQ(taken.request_id, model[pick].request_id) << step;
+    model.erase(model.begin() + static_cast<std::ptrdiff_t>(pick));
+    if (step % 6 == 0 && next_id < 50) {
+      const Request pushed =
+          MakeRequest(next_id++, static_cast<double>(step % 13));
+      queue.Push(pushed);
+      model.insert(std::upper_bound(model.begin(), model.end(), pushed,
+                                    [](const Request& x, const Request& y) {
+                                      if (x.arrival_time != y.arrival_time) {
+                                        return x.arrival_time <
+                                               y.arrival_time;
+                                      }
+                                      return x.request_id < y.request_id;
+                                    }),
+                   pushed);
+    }
+    ASSERT_EQ(queue.size(), model.size()) << step;
+    for (size_t i = 0; i < model.size(); ++i) {
+      ASSERT_EQ(queue.at(i).request_id, model[i].request_id) << step;
+    }
+    if (!model.empty()) {
+      EXPECT_EQ(queue.NextArrival(), model.front().arrival_time);
+    }
+  }
+  EXPECT_TRUE(queue.empty());
 }
 
 }  // namespace

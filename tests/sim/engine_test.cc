@@ -1,6 +1,7 @@
 #include "sim/engine.h"
 
 #include <cmath>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -323,6 +324,101 @@ TEST(EngineTest, RunUntilProcessCompletesIgnoresImmortals) {
   EXPECT_TRUE(engine.result(pid).completed);
   // Run() also terminates: no mortal work remains.
   ASSERT_TRUE(engine.Run().ok());
+}
+
+TEST(EngineTest, ZeroDemandCompletionsCanChainProcesses) {
+  // With no startup cost, an empty query completes inside the step that
+  // starts it, so its callback runs while the engine walks its active set.
+  // Each callback adds more processes, reallocating the process table
+  // under that walk many times over.
+  Engine engine(QuietConfig(), 1);
+  QuerySpec empty;
+  empty.name = "empty";
+  constexpr int kMaxProcesses = 600;
+  int completions = 0;
+  engine.SetCompletionCallback([&](const ProcessResult& r) {
+    ++completions;
+    // Copy before AddProcess: the callback's reference dies with it.
+    const std::string name = r.name;
+    const double end = r.end_time;
+    if (name != "empty" || engine.num_processes() >= kMaxProcesses) return;
+    engine.AddProcess(empty, units::Seconds(end));
+    engine.AddProcess(empty, units::Seconds(end));
+    if (completions % 3 == 0) {
+      engine.AddProcess(empty, units::Seconds(end + 0.25));
+    }
+  });
+  const int anchor = engine.AddProcess(ScanQuery("anchor", 0, 100.0 * kMB),
+                                       units::Seconds(0.0));
+  for (int i = 0; i < 8; ++i) engine.AddProcess(empty, units::Seconds(0.0));
+  ASSERT_TRUE(engine.Run().ok());
+
+  ASSERT_GE(engine.num_processes(), static_cast<size_t>(kMaxProcesses));
+  EXPECT_EQ(static_cast<size_t>(completions), engine.num_processes());
+  for (size_t id = 0; id < engine.num_processes(); ++id) {
+    const ProcessResult& r = engine.result(static_cast<int>(id));
+    EXPECT_TRUE(r.completed) << "process " << id;
+    if (static_cast<int>(id) != anchor) {
+      EXPECT_EQ(r.end_time, r.start_time) << "process " << id;
+    }
+  }
+  // Empty processes take no disk share: the anchor scans alone.
+  EXPECT_NEAR(engine.result(anchor).latency().value(), 1.0, 1e-6);
+}
+
+TEST(EngineTest, LongHorizonChainedQueriesKeepProgressing) {
+  // 10^5 chained queries spread over 10^8 simulated seconds: near the end
+  // one ulp of now() is ~1.5e-8 s, within an order of magnitude of the
+  // engine's 1e-7 s arrival guard. Every query must still complete, in
+  // order, with a non-negative latency.
+  SimConfig cfg;  // noisy defaults: startup cost, jitter, random I/O
+  Engine engine(cfg, 7);
+  QuerySpec q;
+  q.name = "q";
+  Phase scan;
+  scan.seq_io_bytes = 20.0 * kMB;
+  scan.table = 3;
+  scan.table_bytes = 20.0 * kMB;
+  scan.cpu_seconds = 0.05;
+  Phase probe;
+  probe.rnd_io_bytes = 1.0 * kMB;
+  probe.cpu_seconds = 0.02;
+  probe.mem_demand_bytes = 64.0 * kMB;
+  probe.spillable = true;
+  q.phases = {scan, probe};
+
+  constexpr int kQueries = 100000;
+  constexpr double kGap = 2010.0;  // two chains of 5e4 queries each
+  int added = 2;  // the two chain heads below
+  int completed = 0;
+  int bad_latency = 0;
+  int out_of_order = 0;
+  double last_end = 0.0;
+  engine.SetCompletionCallback([&](const ProcessResult& r) {
+    ++completed;
+    if (r.end_time < r.start_time) ++bad_latency;
+    if (r.end_time < last_end) ++out_of_order;
+    last_end = r.end_time;
+    if (added < kQueries) {
+      // Alternate exact gaps with gaps a few ulps off a whole second.
+      const double gap = added % 2 == 0 ? kGap : kGap + 3e-8;
+      engine.AddProcess(q, units::Seconds(last_end + gap));
+      ++added;
+    }
+  });
+  // Two overlapping chains.
+  engine.AddProcess(q, units::Seconds(0.0));
+  engine.AddProcess(q, units::Seconds(0.01));
+  ASSERT_TRUE(engine.Run().ok());
+
+  EXPECT_EQ(added, kQueries);
+  EXPECT_EQ(completed, kQueries);
+  EXPECT_EQ(bad_latency, 0);
+  EXPECT_EQ(out_of_order, 0);
+  EXPECT_GE(engine.now().value(), 1e8);
+  for (int id = 0; id < kQueries; ++id) {
+    ASSERT_TRUE(engine.result(id).completed) << "query " << id;
+  }
 }
 
 TEST(EngineTest, InvalidProcessIdRejected) {

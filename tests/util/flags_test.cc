@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
 namespace contender {
 namespace {
 
@@ -48,6 +52,40 @@ TEST(FlagsTest, ExplicitFalseString) {
   Flags f = MakeFlags({"--opt=false", "--zero=0"});
   EXPECT_FALSE(f.GetBool("opt", true));
   EXPECT_FALSE(f.GetBool("zero", true));
+}
+
+TEST(FlagsTest, NumbersParseWholeValues) {
+  Flags f = MakeFlags({"--n=-12", "--big=9223372036854775807", "--x=2.5e3",
+                       "--y=-0.25"});
+  EXPECT_EQ(f.GetInt("n", 0), -12);
+  EXPECT_EQ(f.GetInt("big", 0), INT64_MAX);
+  EXPECT_DOUBLE_EQ(f.GetDouble("x", 0.0), 2500.0);
+  EXPECT_DOUBLE_EQ(f.GetDouble("y", 0.0), -0.25);
+}
+
+TEST(FlagsDeathTest, MalformedIntegerExitsNamingTheFlag) {
+  for (const char* value : {"abc", "12x", "", " 7", "1.5", "1e3",
+                            "9223372036854775808"}) {
+    Flags f = MakeFlags({std::string("--requests=") + value});
+    EXPECT_EXIT(f.GetInt("requests", 5), ::testing::ExitedWithCode(2),
+                "flag --requests")
+        << "value '" << value << "'";
+  }
+}
+
+TEST(FlagsDeathTest, MalformedDoubleExitsNamingTheFlag) {
+  for (const char* value : {"abc", "0.5s", "", "1e999", "nan", "inf"}) {
+    Flags f = MakeFlags({std::string("--rate=") + value});
+    EXPECT_EXIT(f.GetDouble("rate", 1.0), ::testing::ExitedWithCode(2),
+                "flag --rate")
+        << "value '" << value << "'";
+  }
+}
+
+TEST(FlagsDeathTest, ValuelessNumericFlagIsRejected) {
+  // "--mpl" followed by another flag parses as the boolean "true".
+  Flags f = MakeFlags({"--mpl", "--verbose"});
+  EXPECT_EXIT(f.GetInt("mpl", 3), ::testing::ExitedWithCode(2), "flag --mpl");
 }
 
 }  // namespace
