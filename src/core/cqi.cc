@@ -1,119 +1,120 @@
 #include "core/cqi.h"
 
 #include <algorithm>
+#include <numeric>
 
 namespace contender {
 
-namespace {
-
-Status ValidateIndices(const std::vector<TemplateProfile>& profiles,
-                       int primary_index,
-                       const std::vector<int>& concurrent_indices) {
-  const int n = static_cast<int>(profiles.size());
-  if (primary_index < 0 || primary_index >= n) {
-    return Status::InvalidArgument("CQI: bad primary index");
+CqiTable::CqiTable(std::span<const TemplateProfile* const> templates,
+                   const ScanTimes& scan_times, size_t num_primaries) {
+  size_t num_facts = 0;
+  for (const TemplateProfile* t : templates) {
+    num_facts += t->fact_tables.size();
   }
-  if (concurrent_indices.empty()) {
+  std::vector<sim::TableId> tables;  // distinct fact tables, first seen first
+  tables.reserve(num_facts);
+  auto dense = [&tables](sim::TableId f) {
+    auto it = std::find(tables.begin(), tables.end(), f);
+    if (it == tables.end()) it = tables.insert(it, f);
+    return static_cast<size_t>(it - tables.begin());
+  };
+  templates_.reserve(templates.size());
+  for (const TemplateProfile* t : templates) {
+    templates_.push_back({t->isolated_latency, t->io_seconds()});
+    for (sim::TableId f : t->fact_tables) dense(f);
+  }
+  num_tables_ = tables.size();
+  scans_.assign(templates.size() * num_tables_, 0);
+  for (size_t t = 0; t < templates.size(); ++t) {
+    for (sim::TableId f : templates[t]->fact_tables) {
+      scans_[t * num_tables_ + dense(f)] = 1;
+    }
+  }
+  pairs_.reserve(num_primaries * templates.size());
+  candidates_.reserve(num_primaries * num_facts);
+  for (const TemplateProfile* p : templates.first(num_primaries)) {
+    for (const TemplateProfile* c : templates) {
+      Pair pair{units::Seconds(), candidates_.size(), 0};
+      for (sim::TableId f : c->fact_tables) {
+        auto scan = scan_times.find(f);
+        const units::Seconds s_f =
+            scan == scan_times.end() ? units::Seconds() : scan->second;
+        if (p->ScansFactTable(f)) {
+          pair.omega += s_f;  // ω_c (Eq. 2): scans shared with the primary
+        } else {
+          candidates_.push_back({dense(f), s_f});
+        }
+      }
+      pair.num_candidates = candidates_.size() - pair.first_candidate;
+      pairs_.push_back(pair);
+    }
+  }
+}
+
+Status CqiTable::CheckPartners(std::span<const int> partners) const {
+  if (partners.empty()) {
     return Status::InvalidArgument("CQI: empty concurrent set");
   }
-  for (int c : concurrent_indices) {
-    if (c < 0 || c >= n) {
-      return Status::InvalidArgument("CQI: bad concurrent index");
+  for (int c : partners) {
+    if (templates_[static_cast<size_t>(c)].isolated_latency.value() <= 0.0) {
+      return Status::FailedPrecondition("CQI: non-positive isolated latency");
     }
   }
   return Status::OK();
 }
 
-units::Seconds ScanTime(const ScanTimes& scan_times, sim::TableId f) {
-  auto it = scan_times.find(f);
-  return it == scan_times.end() ? units::Seconds() : it->second;
-}
-
-/// h_f: number of concurrent (non-primary) queries scanning fact table f.
-int CountScanners(const std::vector<const TemplateProfile*>& concurrent,
-                  sim::TableId f) {
-  int h = 0;
-  for (const TemplateProfile* c : concurrent) {
-    if (c->ScansFactTable(f)) ++h;
-  }
-  return h;
-}
-
-/// Eq. 2–4 for the concurrent query at `position`.
-StatusOr<CqiTerms> TermsFor(
-    const TemplateProfile& primary,
-    const std::vector<const TemplateProfile*>& concurrent, size_t position,
-    const ScanTimes& scan_times, CqiVariant variant) {
-  const TemplateProfile& c = *concurrent[position];
+CqiTerms CqiTable::Terms(int primary, std::span<const int> partners,
+                         size_t position, CqiVariant variant) const {
+  const size_t c = static_cast<size_t>(partners[position]);
+  const Pair& pair =
+      pairs_[static_cast<size_t>(primary) * templates_.size() + c];
 
   CqiTerms terms;
-  terms.total_io_seconds = c.isolated_latency * c.io_fraction;
-
-  if (variant != CqiVariant::kBaselineIo) {
-    // ω_c (Eq. 2): scans shared with the primary.
-    for (sim::TableId f : c.fact_tables) {
-      if (primary.ScansFactTable(f)) {
-        terms.omega += ScanTime(scan_times, f);
-      }
-    }
-  }
+  terms.total_io_seconds = templates_[c].io_seconds;
+  if (variant != CqiVariant::kBaselineIo) terms.omega = pair.omega;
   if (variant == CqiVariant::kFull) {
-    // τ_c (Eq. 3): scans shared among the non-primary queries only.
-    for (sim::TableId f : c.fact_tables) {
-      if (primary.ScansFactTable(f)) continue;  // avoid double counting
-      const int h = CountScanners(concurrent, f);
+    // τ_c (Eq. 3): scans shared among the non-primary queries only; h_f
+    // counts the concurrent queries scanning f, c included.
+    for (size_t k = pair.first_candidate;
+         k < pair.first_candidate + pair.num_candidates; ++k) {
+      const Candidate& f = candidates_[k];
+      int h = 0;
+      for (int q : partners) h += Scans(q, f.table) ? 1 : 0;
       if (h > 1) {
-        terms.tau +=
-            (1.0 - 1.0 / static_cast<double>(h)) * ScanTime(scan_times, f);
+        terms.tau += (1.0 - 1.0 / static_cast<double>(h)) * f.seconds;
       }
     }
   }
 
-  if (c.isolated_latency.value() <= 0.0) {
-    return Status::FailedPrecondition("CQI: non-positive isolated latency");
-  }
   // Eq. 4, truncated at zero.
   terms.r =
       std::max(0.0, (terms.total_io_seconds - terms.omega - terms.tau) /
-                        c.isolated_latency);  // Seconds / Seconds -> ratio
+                        templates_[c].isolated_latency);  // a ratio
   return terms;
 }
 
-}  // namespace
-
-StatusOr<CqiTerms> ComputeCqiTerms(
-    const std::vector<TemplateProfile>& profiles,
-    const ScanTimes& scan_times, int primary_index,
-    const std::vector<int>& concurrent_indices, size_t concurrent_position,
-    CqiVariant variant) {
-  CONTENDER_RETURN_IF_ERROR(
-      ValidateIndices(profiles, primary_index, concurrent_indices));
-  if (concurrent_position >= concurrent_indices.size()) {
-    return Status::InvalidArgument("CQI: bad concurrent position");
+units::Cqi CqiTable::Cqi(int primary, std::span<const int> partners,
+                         CqiVariant variant) const {
+  double sum = 0.0;
+  for (size_t i = 0; i < partners.size(); ++i) {
+    sum += Terms(primary, partners, i, variant).r;
   }
-  std::vector<const TemplateProfile*> concurrent;
-  for (int c : concurrent_indices) {
-    concurrent.push_back(&profiles[static_cast<size_t>(c)]);
-  }
-  return TermsFor(profiles[static_cast<size_t>(primary_index)], concurrent,
-                  concurrent_position, scan_times, variant);
+  // Eq. 5: average competing fraction across the concurrent queries.
+  return units::Cqi(sum / static_cast<double>(partners.size()));
 }
 
 StatusOr<units::Cqi> ComputeCqiFor(
     const TemplateProfile& primary,
     const std::vector<const TemplateProfile*>& concurrent,
     const ScanTimes& scan_times, CqiVariant variant) {
-  if (concurrent.empty()) {
-    return Status::InvalidArgument("CQI: empty concurrent set");
-  }
-  double sum = 0.0;
-  for (size_t i = 0; i < concurrent.size(); ++i) {
-    auto terms = TermsFor(primary, concurrent, i, scan_times, variant);
-    if (!terms.ok()) return terms.status();
-    sum += terms->r;
-  }
-  // Eq. 5: average competing fraction across the concurrent queries.
-  return units::Cqi(sum / static_cast<double>(concurrent.size()));
+  // The primary at position 0, the concurrent queries at 1..n.
+  std::vector<const TemplateProfile*> mix = {&primary};
+  mix.insert(mix.end(), concurrent.begin(), concurrent.end());
+  std::vector<int> partners(concurrent.size());
+  std::iota(partners.begin(), partners.end(), 1);
+  const CqiTable table(mix, scan_times, /*num_primaries=*/1);
+  CONTENDER_RETURN_IF_ERROR(table.CheckPartners(partners));
+  return table.Cqi(0, partners, variant);
 }
 
 StatusOr<units::Cqi> ComputeCqi(const std::vector<TemplateProfile>& profiles,
@@ -121,10 +122,16 @@ StatusOr<units::Cqi> ComputeCqi(const std::vector<TemplateProfile>& profiles,
                                 int primary_index,
                                 const std::vector<int>& concurrent_indices,
                                 CqiVariant variant) {
-  CONTENDER_RETURN_IF_ERROR(
-      ValidateIndices(profiles, primary_index, concurrent_indices));
+  const int n = static_cast<int>(profiles.size());
+  if (primary_index < 0 || primary_index >= n) {
+    return Status::InvalidArgument("CQI: bad primary index");
+  }
   std::vector<const TemplateProfile*> concurrent;
+  concurrent.reserve(concurrent_indices.size());
   for (int c : concurrent_indices) {
+    if (c < 0 || c >= n) {
+      return Status::InvalidArgument("CQI: bad concurrent index");
+    }
     concurrent.push_back(&profiles[static_cast<size_t>(c)]);
   }
   return ComputeCqiFor(profiles[static_cast<size_t>(primary_index)],

@@ -7,6 +7,9 @@
 #ifndef CONTENDER_CORE_CQI_H_
 #define CONTENDER_CORE_CQI_H_
 
+#include <cstddef>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/template_profile.h"
@@ -25,6 +28,72 @@ enum class CqiVariant {
   kFull,
 };
 
+/// Per-concurrent-query breakdown (CqiTable::Terms).
+struct CqiTerms {
+  units::Seconds total_io_seconds;  ///< l_min(c) * p_c
+  units::Seconds omega;  ///< shared-with-primary scan seconds (Eq. 2)
+  units::Seconds tau;    ///< shared-among-concurrent credit (Eq. 3)
+  double r = 0.0;        ///< Eq. 4, truncated at zero (a ratio)
+};
+
+/// The CQI inputs of a set of templates (addressed by position), resolved
+/// once: per (primary p, concurrent c) pair, ω_c (Eq. 2) and c's fact
+/// tables p does not scan (the τ_c candidates of Eq. 3, with s_f); per
+/// template, l_min, I/O seconds and the fact tables it scans.
+class CqiTable {
+ public:
+  CqiTable() = default;
+  /// Only the first `num_primaries` templates can be a primary; memory is
+  /// O(num_primaries * templates.size()).
+  CqiTable(std::span<const TemplateProfile* const> templates,
+           const ScanTimes& scan_times, size_t num_primaries);
+
+  /// The kernel's preconditions on a mix of valid positions: at least one
+  /// partner (InvalidArgument), and a positive l_min for every partner,
+  /// since Eq. 4 divides by it (FailedPrecondition).
+  [[nodiscard]] Status CheckPartners(std::span<const int> partners) const;
+
+  /// The CQI kernel, Eqs. 2–4 for the partner at `position`: τ summed in
+  /// the partner's fact-table order, then r = ((io - ω) - τ) / l_min
+  /// truncated at zero. Requires primary < num_primaries and CheckPartners
+  /// to accept the partner at `position`.
+  [[nodiscard]] CqiTerms Terms(int primary, std::span<const int> partners,
+                               size_t position, CqiVariant variant) const;
+
+  /// Eq. 5 over the kernel: the mean of r across `partners`, summed in the
+  /// order given. Requires CheckPartners(partners) to be OK.
+  [[nodiscard]] units::Cqi Cqi(int primary, std::span<const int> partners,
+                               CqiVariant variant) const;
+
+ private:
+  struct Template {
+    units::Seconds isolated_latency;  // l_min
+    units::Seconds io_seconds;        // l_min * p
+  };
+  /// A fact table of c that the primary does not scan: its index among
+  /// the set's distinct fact tables and its scan time (zero when unknown).
+  struct Candidate {
+    size_t table = 0;
+    units::Seconds seconds;
+  };
+  /// Concurrent template c against primary p.
+  struct Pair {
+    units::Seconds omega;
+    size_t first_candidate = 0;  // c's run in candidates_
+    size_t num_candidates = 0;
+  };
+
+  [[nodiscard]] bool Scans(int t, size_t table) const {
+    return scans_[static_cast<size_t>(t) * num_tables_ + table] != 0;
+  }
+
+  std::vector<Template> templates_;
+  std::vector<Pair> pairs_;  // [primary * templates_.size() + concurrent]
+  std::vector<Candidate> candidates_;
+  size_t num_tables_ = 0;       // distinct fact tables in the set
+  std::vector<uint8_t> scans_;  // [template * num_tables_ + table]
+};
+
 /// Computes r_{t,m} for `primary` against `concurrent` (both are workload
 /// indices into `profiles`; repeats allowed). `scan_times` maps fact-table
 /// id to its isolated scan time s_f. Negative per-query I/O estimates are
@@ -41,21 +110,6 @@ StatusOr<units::Cqi> ComputeCqiFor(
     const TemplateProfile& primary,
     const std::vector<const TemplateProfile*>& concurrent,
     const ScanTimes& scan_times, CqiVariant variant);
-
-/// Per-concurrent-query breakdown (exposed for tests and diagnostics).
-struct CqiTerms {
-  units::Seconds total_io_seconds;  ///< l_min(c) * p_c
-  units::Seconds omega;  ///< shared-with-primary scan seconds (Eq. 2)
-  units::Seconds tau;    ///< shared-among-concurrent credit (Eq. 3)
-  double r = 0.0;        ///< Eq. 4, truncated at zero (a ratio)
-};
-
-/// Terms for one concurrent query c in the mix (same arguments as above).
-StatusOr<CqiTerms> ComputeCqiTerms(
-    const std::vector<TemplateProfile>& profiles,
-    const ScanTimes& scan_times, int primary_index,
-    const std::vector<int>& concurrent_indices, size_t concurrent_position,
-    CqiVariant variant);
 
 }  // namespace contender
 

@@ -1,12 +1,31 @@
 #include "core/predictor.h"
 
 #include <algorithm>
+#include <array>
 #include <utility>
 
-#include "core/continuum.h"
 #include "sim/batch_runner.h"
 
 namespace contender {
+
+namespace {
+
+/// Partners PredictKnown sorts on the stack; larger mixes use the heap.
+constexpr size_t kInlinePartners = 8;
+
+/// The QS line at `cqi` on [l_min, l_max] (Eq. 1; l_max > l_min > 0),
+/// clamped with a margin: interactions can push latency slightly outside
+/// the continuum (§6.1), but a transferred model must not extrapolate, and
+/// shared work beats isolation only modestly.
+units::Seconds LatencyInMix(const QsModel& qs, units::Seconds l_min,
+                            units::Seconds l_max, units::Cqi cqi) {
+  const units::ContinuumPoint point(
+      std::clamp(qs.PredictContinuum(cqi).value(), -0.25, 1.25));
+  const units::Seconds latency = point.value() * (l_max - l_min) + l_min;
+  return std::max(latency, 0.5 * l_min);
+}
+
+}  // namespace
 
 StatusOr<ContenderPredictor> ContenderPredictor::Train(
     std::vector<TemplateProfile> profiles, ScanTimes scan_times,
@@ -66,7 +85,34 @@ StatusOr<ContenderPredictor> ContenderPredictor::Train(
   auto knn = KnnSpoilerPredictor::Fit(p.profiles_, knn_opts, &runner.pool());
   if (!knn.ok()) return knn.status();
   p.knn_spoiler_.emplace(std::move(*knn));
+  std::vector<const TemplateProfile*> known;
+  for (const TemplateProfile& profile : p.profiles_) known.push_back(&profile);
+  p.cqi_table_ = CqiTable(known, p.scan_times_, known.size());
+  p.CompileKnownModels();
   return p;
+}
+
+void ContenderPredictor::CompileKnownModels() {
+  const size_t n = profiles_.size();
+  const int max_mpl =
+      reference_models_.empty() ? 0 : reference_models_.rbegin()->first;
+  known_models_.assign(static_cast<size_t>(std::max(max_mpl, 0) + 1) * n,
+                       KnownModel{});
+  for (const auto& [mpl, models] : reference_models_) {
+    if (mpl < 1) continue;  // PredictKnown's MPL is partners + 1
+    for (const auto& [t, qs] : models) {
+      const TemplateProfile& profile = profiles_[static_cast<size_t>(t)];
+      auto l_max = profile.spoiler_latency.find(mpl);
+      if (l_max == profile.spoiler_latency.end()) continue;
+      // The continuum checks run once here instead of on every prediction.
+      if (!units::LatencyRange::Make(profile.isolated_latency, l_max->second)
+               .ok()) {
+        continue;
+      }
+      known_models_[static_cast<size_t>(mpl) * n + static_cast<size_t>(t)] =
+          {qs, l_max->second, true};
+    }
+  }
 }
 
 StatusOr<ContenderPredictor> ContenderPredictor::WithRefitTemplates(
@@ -92,6 +138,7 @@ StatusOr<ContenderPredictor> ContenderPredictor::WithRefitTemplates(
       models[t] = *model;
     }
   }
+  refit.CompileKnownModels();
   return refit;
 }
 
@@ -142,44 +189,49 @@ StatusOr<units::Seconds> ContenderPredictor::PredictWithModel(
     }
     conc.push_back(&profiles_[static_cast<size_t>(c)]);
   }
-  auto cqi = ComputeCqiFor(primary, conc, scan_times_, options_.variant);
-  if (!cqi.ok()) return cqi.status();
-  // Predictions are clamped to the continuum with a small margin: positive
-  // interactions can push latency slightly below l_min and steady-state
-  // artifacts slightly above l_max (paper Section 6.1), but a transferred
-  // model must not extrapolate beyond the meaningful range.
   CONTENDER_ASSIGN_OR_RETURN(
-      const units::LatencyRange range,
-      units::LatencyRange::Make(primary.isolated_latency, l_max));
-  const units::ContinuumPoint point(
-      std::clamp(qs.PredictContinuum(*cqi).value(), -0.25, 1.25));
-  const units::Seconds latency = LatencyFromContinuum(point, range);
-  // A concurrent execution can beat isolation through shared work, but
-  // never by more than a modest margin.
-  return std::max(latency, 0.5 * primary.isolated_latency);
+      const units::Cqi cqi,
+      ComputeCqiFor(primary, conc, scan_times_, options_.variant));
+  CONTENDER_RETURN_IF_ERROR(
+      units::LatencyRange::Make(primary.isolated_latency, l_max).status());
+  return LatencyInMix(qs, primary.isolated_latency, l_max, cqi);
 }
 
 StatusOr<units::Seconds> ContenderPredictor::PredictKnown(
     int template_index, const std::vector<int>& concurrent_indices) const {
-  if (template_index < 0 ||
-      static_cast<size_t>(template_index) >= profiles_.size()) {
+  const size_t n = profiles_.size();
+  const size_t size = concurrent_indices.size();
+  if (template_index < 0 || static_cast<size_t>(template_index) >= n) {
     return Status::InvalidArgument("unknown template index");
   }
-  const units::Mpl mpl(static_cast<int>(concurrent_indices.size()) + 1);
-  auto models_it = reference_models_.find(mpl.value());
-  if (models_it == reference_models_.end()) {
-    return Status::NotFound("no reference models at this MPL");
+  const size_t slot = (size + 1) * n + static_cast<size_t>(template_index);
+  if (slot >= known_models_.size() || !known_models_[slot].valid) {
+    return Status::NotFound(
+        "no usable QS model for this template at this MPL");
   }
-  auto model_it = models_it->second.find(template_index);
-  if (model_it == models_it->second.end()) {
-    return Status::NotFound("no QS model for this template at this MPL");
+  // Evaluate the sorted mix, so the answer is a pure function of the
+  // multiset: CQI sums over the mix in order, and floating-point addition
+  // is not associative.
+  std::array<int, kInlinePartners> inline_partners;
+  std::vector<int> spilled(size > kInlinePartners ? size : 0);
+  const std::span<int> partners =
+      spilled.empty() ? std::span(inline_partners).first(size)
+                      : std::span(spilled);
+  for (size_t i = 0; i < partners.size(); ++i) {
+    const int c = concurrent_indices[i];
+    if (c < 0 || static_cast<size_t>(c) >= n) {
+      return Status::InvalidArgument("bad concurrent template index");
+    }
+    // Insertion sort: mixes are a handful of partners.
+    size_t j = i;
+    for (; j > 0 && partners[j - 1] > c; --j) partners[j] = partners[j - 1];
+    partners[j] = c;
   }
-  const TemplateProfile& primary =
-      profiles_[static_cast<size_t>(template_index)];
-  auto l_max = ResolveSpoiler(primary, mpl, SpoilerSource::kMeasured);
-  if (!l_max.ok()) return l_max.status();
-  return PredictWithModel(primary, model_it->second, concurrent_indices,
-                          *l_max);
+  CONTENDER_RETURN_IF_ERROR(cqi_table_.CheckPartners(partners));
+  const KnownModel& model = known_models_[slot];
+  return LatencyInMix(
+      model.qs, profiles_[static_cast<size_t>(template_index)].isolated_latency,
+      model.l_max, cqi_table_.Cqi(template_index, partners, options_.variant));
 }
 
 StatusOr<units::Seconds> ContenderPredictor::PredictNew(

@@ -66,7 +66,9 @@ class ContenderPredictor {
       const Options& options);
 
   /// Predicts the latency of a *known* template (index into the training
-  /// profiles) executing with the given concurrent templates.
+  /// profiles) executing with the given concurrent templates, evaluated on
+  /// the sorted mix. NotFound when the template has no QS model, measured
+  /// spoiler latency or valid continuum at the mix's MPL.
   StatusOr<units::Seconds> PredictKnown(
       int template_index, const std::vector<int>& concurrent_indices) const;
 
@@ -113,6 +115,18 @@ class ContenderPredictor {
  private:
   ContenderPredictor() = default;
 
+  /// What PredictKnown reads at one (MPL, template): the template's QS
+  /// model and l_max there, and whether both exist and span a valid
+  /// continuum (l_min > 0, l_max > l_min).
+  struct KnownModel {
+    QsModel qs;
+    units::Seconds l_max;
+    bool valid = false;
+  };
+
+  /// Rebuilds known_models_ from the reference models and the measured
+  /// spoiler latencies; Train and WithRefitTemplates end with it.
+  void CompileKnownModels();
   StatusOr<units::Seconds> PredictWithModel(
       const TemplateProfile& primary, const QsModel& qs,
       const std::vector<int>& concurrent, units::Seconds l_max) const;
@@ -126,6 +140,11 @@ class ContenderPredictor {
   std::map<int, std::map<int, QsModel>> reference_models_;  // mpl -> models
   std::map<int, QsTransferModel> transfer_models_;          // mpl -> transfer
   std::optional<KnnSpoilerPredictor> knn_spoiler_;
+  /// CQI inputs of the known templates, positioned like profiles_.
+  CqiTable cqi_table_;
+  /// Dense [mpl][template] records, at mpl * profiles_.size() + template
+  /// for every mpl up to the largest trained one.
+  std::vector<KnownModel> known_models_;
 };
 
 }  // namespace contender

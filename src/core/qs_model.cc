@@ -42,6 +42,13 @@ StatusOr<QsTrainingSet> BuildQsTrainingSet(
       const units::LatencyRange range,
       units::LatencyRange::Make(primary.isolated_latency, lmax_it->second));
 
+  // One CQI table serves every observation: the primary at position 0,
+  // then each profile at its index + 1.
+  std::vector<const TemplateProfile*> templates = {&primary};
+  for (const TemplateProfile& p : profiles) templates.push_back(&p);
+  const CqiTable table(templates, scan_times, /*num_primaries=*/1);
+  std::vector<int> partners;
+
   QsTrainingSet set;
   for (const MixObservation& obs : observations) {
     if (obs.primary_index != primary_index || obs.mpl != mpl.value()) continue;
@@ -49,12 +56,17 @@ StatusOr<QsTrainingSet> BuildQsTrainingSet(
       ++set.dropped_outliers;
       continue;
     }
-    auto cqi = ComputeCqi(profiles, scan_times, primary_index,
-                          obs.concurrent_indices, variant);
-    if (!cqi.ok()) return cqi.status();
+    partners.clear();
+    for (int c : obs.concurrent_indices) {
+      if (c < 0 || static_cast<size_t>(c) >= profiles.size()) {
+        return Status::InvalidArgument("CQI: bad concurrent index");
+      }
+      partners.push_back(c + 1);
+    }
+    CONTENDER_RETURN_IF_ERROR(table.CheckPartners(partners));
     auto point = ContinuumPoint(obs.latency, range);
     if (!point.ok()) return point.status();
-    set.cqi.push_back(*cqi);
+    set.cqi.push_back(table.Cqi(0, partners, variant));
     set.continuum.push_back(*point);
     set.latency.push_back(obs.latency);
   }

@@ -63,7 +63,7 @@ struct QueryBlame {
 
 /// Attributes blame for every completed query of one node's realized
 /// schedule. `oracle` supplies isolated latencies and the pairwise
-/// antagonism weights (the node's own memo — identical answers to the
+/// antagonism weights (the node's own oracle — identical answers to the
 /// admission path's). Shares are ordered by culprit request id.
 std::vector<QueryBlame> ComputeNodeBlame(const NodeResult& node,
                                          const sched::MixOracle& oracle);

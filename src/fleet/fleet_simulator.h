@@ -63,7 +63,8 @@ struct FleetOptions {
   /// (chaos drains additionally fire from the "fleet.node.drain" fail
   /// point).
   std::vector<ScheduledDrain> drains;
-  /// Memo options for the router's and every node's MixOracle.
+  /// Options for the router's and every node's MixOracle. Their health
+  /// signal is always replaced by the fleet's own.
   sched::MixOracle::Options oracle_options;
   /// Door-side overload control for the router (DESIGN.md §16).
   overload::DoorOptions door;
@@ -107,7 +108,9 @@ struct FleetNodeSummary {
   int node_id = 0;
   size_t requests = 0;
   units::Seconds makespan;
+  /// Always 0 (MixOracle has no memo); kept for readers of the pair.
   uint64_t oracle_hits = 0;
+  /// The node oracle's model evaluations.
   uint64_t oracle_misses = 0;
   uint64_t oracle_degradations = 0;
   /// Node overload control: requests CoDel-shed off the local queue and

@@ -69,8 +69,7 @@ size_t PickShortestIsolated(const RequestQueue& queue, size_t arrived,
 /// (Σ over q in M of L(q | M - q + r) - L(q | M - q)). The second term is
 /// what distinguishes contention-awareness from shortest-job-first: a
 /// short candidate that antagonizes the running mix loses to a slightly
-/// longer one that shares its scans. Every term is a mix-oracle probe, so
-/// repeated evaluations of the slowly-churning mix hit the cache.
+/// longer one that shares its scans. Every term is a mix-oracle probe.
 double GreedyScore(const Request& r, const SchedContext& ctx) {
   const std::vector<int>& mix = *ctx.running_templates;
   const double in_mix =

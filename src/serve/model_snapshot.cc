@@ -18,21 +18,16 @@ auto& kTransferFailPoint =
 
 }  // namespace
 
-ModelSnapshot::ModelSnapshot(ContenderPredictor predictor, uint64_t version,
-                             const sched::MixOracle::Options& oracle_options)
-    : predictor_(std::move(predictor)),
-      oracle_(std::make_unique<sched::MixOracle>(&predictor_,
-                                                 oracle_options)),
-      version_(version) {}
+ModelSnapshot::ModelSnapshot(ContenderPredictor predictor, uint64_t version)
+    : predictor_(std::move(predictor)), version_(version) {}
 
 std::shared_ptr<const ModelSnapshot> ModelSnapshot::Create(
-    ContenderPredictor predictor, uint64_t version,
-    const sched::MixOracle::Options& oracle_options) {
+    ContenderPredictor predictor, uint64_t version) {
   // Not make_shared: the constructor is private, and a plain `new` keeps
   // the control block separate so a stray weak_ptr cannot pin the (large)
   // predictor after the last strong reference dies.
   return std::shared_ptr<const ModelSnapshot>(
-      new ModelSnapshot(std::move(predictor), version, oracle_options));
+      new ModelSnapshot(std::move(predictor), version));
 }
 
 TieredPrediction ModelSnapshot::PredictInMixTiered(
@@ -50,16 +45,16 @@ TieredPrediction ModelSnapshot::PredictInMixTiered(
   if (concurrent.empty()) {
     return {profile.isolated_latency, DegradationTier::kFullModel};
   }
-  // Canonical (sorted) mix once, shared by every tier — the same
-  // canonicalization PredictInMixUncached applies, so tier 0 is
-  // bit-identical to PredictInMix by construction.
-  std::vector<int> canonical = concurrent;
-  std::sort(canonical.begin(), canonical.end());
-
+  // Tier 0 is the same PredictKnown call PredictInMixUncached makes, so it
+  // is bit-identical to PredictInMix by construction.
   if (allow_full_model && !kQsModelFailPoint.ShouldFail()) {
-    auto full = predictor_.PredictKnown(template_index, canonical);
+    auto full = predictor_.PredictKnown(template_index, concurrent);
     if (full.ok()) return {*full, DegradationTier::kFullModel};
   }
+  // PredictNew sums the mix in the order given; sort it so tier 1 is a
+  // pure function of the multiset too.
+  std::vector<int> canonical = concurrent;
+  std::sort(canonical.begin(), canonical.end());
   if (!kTransferFailPoint.ShouldFail()) {
     auto transferred = predictor_.PredictNew(profile, canonical,
                                              SpoilerSource::kKnnPredicted);

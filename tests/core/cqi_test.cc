@@ -35,6 +35,16 @@ ScanTimes TestScanTimes() {
   return {{0, units::Seconds(30.0)}, {1, units::Seconds(20.0)}};
 }
 
+/// Kernel terms for the partner at `position`, over a table of `profiles`.
+CqiTerms TermsOf(const std::vector<TemplateProfile>& profiles, int primary,
+                 const std::vector<int>& partners, size_t position) {
+  std::vector<const TemplateProfile*> all;
+  for (const TemplateProfile& p : profiles) all.push_back(&p);
+  const CqiTable table(all, TestScanTimes(), all.size());
+  EXPECT_TRUE(table.CheckPartners(partners).ok());
+  return table.Terms(primary, partners, position, CqiVariant::kFull);
+}
+
 TEST(CqiTest, BaselineIoIsAverageIoFraction) {
   auto cqi = ComputeCqi(TestProfiles(), TestScanTimes(), 0, {1, 2},
                         CqiVariant::kBaselineIo);
@@ -64,34 +74,27 @@ TEST(CqiTest, FullCqiCreditsSharingAmongConcurrents) {
 }
 
 TEST(CqiTest, TermsExposeOmegaAndTau) {
-  auto terms = ComputeCqiTerms(TestProfiles(), TestScanTimes(), 0, {1, 2}, 0,
-                               CqiVariant::kFull);
-  ASSERT_TRUE(terms.ok());
-  EXPECT_NEAR(terms->total_io_seconds.value(), 160.0, 1e-12);
-  EXPECT_NEAR(terms->omega.value(), 30.0, 1e-12);
-  EXPECT_NEAR(terms->tau.value(), 10.0, 1e-12);
-  EXPECT_NEAR(terms->r, 0.6, 1e-12);
+  const CqiTerms terms = TermsOf(TestProfiles(), 0, {1, 2}, 0);
+  EXPECT_NEAR(terms.total_io_seconds.value(), 160.0, 1e-12);
+  EXPECT_NEAR(terms.omega.value(), 30.0, 1e-12);
+  EXPECT_NEAR(terms.tau.value(), 10.0, 1e-12);
+  EXPECT_NEAR(terms.r, 0.6, 1e-12);
 }
 
 TEST(CqiTest, NoDoubleCountingWhenPrimarySharesTheTable) {
   // Primary T1 scans A and B. Concurrents T0 (A) and T2 (B) both share
   // with the primary; tau must be zero (tables shared with the primary are
   // excluded from Eq. 3).
-  auto t0 = ComputeCqiTerms(TestProfiles(), TestScanTimes(), 1, {0, 2}, 0,
-                            CqiVariant::kFull);
-  ASSERT_TRUE(t0.ok());
-  EXPECT_NEAR(t0->omega.value(), 30.0, 1e-12);
-  EXPECT_DOUBLE_EQ(t0->tau.value(), 0.0);
+  const CqiTerms t0 = TermsOf(TestProfiles(), 1, {0, 2}, 0);
+  EXPECT_NEAR(t0.omega.value(), 30.0, 1e-12);
+  EXPECT_DOUBLE_EQ(t0.tau.value(), 0.0);
 }
 
 TEST(CqiTest, NegativeEstimatesTruncateToZero) {
   // A concurrent query whose shared scans exceed its I/O time: r = 0.
   auto profiles = TestProfiles();
   profiles[1].io_fraction = units::Fraction::Clamp(0.1);  // total I/O = 20 < omega 30
-  auto terms = ComputeCqiTerms(profiles, TestScanTimes(), 0, {1}, 0,
-                               CqiVariant::kFull);
-  ASSERT_TRUE(terms.ok());
-  EXPECT_DOUBLE_EQ(terms->r, 0.0);
+  EXPECT_DOUBLE_EQ(TermsOf(profiles, 0, {1}, 0).r, 0.0);
 }
 
 TEST(CqiTest, SelfMixSharingSameTemplate) {

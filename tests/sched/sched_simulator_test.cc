@@ -101,9 +101,11 @@ TEST(ScheduleSimulatorTest, RepeatedRunsAreBitIdentical) {
 
 TEST(ScheduleSimulatorTest, WarmOracleMatchesColdOracle) {
   const auto requests = TestStream(14, 5);
-  // The shared oracle carries cache state across policies and runs; every
-  // schedule must still be bit-identical to one from a cold oracle.
+  // The shared oracle serves every policy's run; each schedule must still
+  // be bit-identical to one from a fresh oracle, and the shared oracle
+  // must have evaluated exactly what the fresh ones did together.
   MixOracle warm(&SharedPredictor());
+  uint64_t cold_evaluations = 0;
   for (PolicyKind kind : AllPolicyKinds()) {
     auto warmed = RunPolicy(requests, kind, &warm);
     MixOracle cold(&SharedPredictor());
@@ -111,8 +113,10 @@ TEST(ScheduleSimulatorTest, WarmOracleMatchesColdOracle) {
     ASSERT_TRUE(warmed.ok()) << warmed.status();
     ASSERT_TRUE(fresh.ok()) << fresh.status();
     EXPECT_TRUE(SameSchedule(*warmed, *fresh)) << PolicyKindName(kind);
+    cold_evaluations += cold.misses();
   }
-  EXPECT_GT(warm.hits(), 0u);
+  EXPECT_GT(warm.misses(), 0u);
+  EXPECT_EQ(warm.misses(), cold_evaluations);
 }
 
 TEST(ScheduleSimulatorTest, GreedyBeatsFifoMakespanOnFixedSeed) {

@@ -35,24 +35,6 @@ TEST(ModelSnapshotTest, EmptyMixYieldsIsolatedLatency) {
   }
 }
 
-TEST(ModelSnapshotTest, LockFreePathMatchesOracleBitExactly) {
-  const auto snapshot = MakeSnapshot();
-  const int n = snapshot->num_templates();
-  for (int t = 0; t < n; t += 3) {
-    for (const std::vector<int>& mix :
-         {std::vector<int>{(t + 1) % n},
-          std::vector<int>{(t + 2) % n, (t + 5) % n},
-          std::vector<int>{(t + 1) % n, (t + 3) % n, (t + 7) % n}}) {
-      const units::Seconds direct = snapshot->PredictInMix(t, mix);
-      const units::Seconds cached = snapshot->oracle().PredictInMix(t, mix);
-      EXPECT_EQ(direct, cached) << "template " << t;
-      EXPECT_EQ(direct, sched::PredictInMixUncached(snapshot->predictor(),
-                                                    t, mix));
-    }
-  }
-  EXPECT_GT(snapshot->oracle().misses(), 0u);
-}
-
 TEST(ModelSnapshotTest, PredictionIsOrderInsensitive) {
   const auto snapshot = MakeSnapshot();
   EXPECT_EQ(snapshot->PredictInMix(0, {1, 2, 3}),
@@ -69,18 +51,6 @@ TEST(ModelSnapshotTest, UncoveredMplFallsBackToIsolatedLatency) {
   (void)sched::PredictInMixUncached(snapshot->predictor(), 0, huge_mix,
                                     &used_fallback);
   EXPECT_TRUE(used_fallback);
-}
-
-TEST(ModelSnapshotTest, OracleMemoizesRepeatedProbes) {
-  const auto snapshot = MakeSnapshot();
-  const std::vector<int> mix = {1, 2};
-  const units::Seconds first = snapshot->oracle().PredictInMix(3, mix);
-  const uint64_t misses = snapshot->oracle().misses();
-  for (int i = 0; i < 5; ++i) {
-    EXPECT_EQ(snapshot->oracle().PredictInMix(3, mix), first);
-  }
-  EXPECT_EQ(snapshot->oracle().misses(), misses);
-  EXPECT_GE(snapshot->oracle().hits(), 5u);
 }
 
 }  // namespace
