@@ -1,4 +1,5 @@
-// Symmetric eigensolver (cyclic Jacobi rotations) used by kernel CCA.
+// Symmetric eigensolver (Householder tridiagonalization + implicit-shift QL)
+// used by kernel CCA.
 
 #ifndef CONTENDER_MATH_EIGEN_H_
 #define CONTENDER_MATH_EIGEN_H_
@@ -18,14 +19,15 @@ struct EigenDecomposition {
   Matrix vectors;
 };
 
-/// Eigendecomposition of a symmetric matrix via the cyclic Jacobi method.
-/// `a` must be square and (numerically) symmetric.
-StatusOr<EigenDecomposition> SymmetricEigen(const Matrix& a,
-                                            int max_sweeps = 64,
-                                            double tolerance = 1e-12);
+/// Eigendecomposition of a symmetric matrix: Householder reduction to
+/// tridiagonal form, then implicit-shift QL (the EISPACK tred2/tql2 pair).
+/// `a` must be square, finite and (numerically) symmetric; otherwise
+/// InvalidArgument. Internal if QL fails to converge.
+StatusOr<EigenDecomposition> SymmetricEigen(const Matrix& a);
 
 /// Solves the generalized symmetric eigenproblem A v = λ B v with B SPD,
 /// by the Cholesky reduction B = L Lᵀ, C = L⁻¹ A L⁻ᵀ, C w = λ w, v = L⁻ᵀ w.
+/// Both inputs must be finite.
 StatusOr<EigenDecomposition> GeneralizedSymmetricEigen(const Matrix& a,
                                                        const Matrix& b);
 
