@@ -4,7 +4,7 @@
 #include <array>
 #include <utility>
 
-#include "sim/batch_runner.h"
+#include "util/thread_pool.h"
 
 namespace contender {
 
@@ -41,13 +41,11 @@ StatusOr<ContenderPredictor> ContenderPredictor::Train(
 
   // The per-MPL fits are independent; fan them across the pool and merge in
   // MPL order so the trained predictor is bit-identical for any pool width.
-  sim::BatchRunner::Options runner_opts;
-  runner_opts.threads = options.train_threads;
-  runner_opts.cache = nullptr;  // model fits are cheap; no memoization
-  sim::BatchRunner runner(runner_opts);
+  ThreadPool pool(options.train_threads > 0 ? options.train_threads
+                                            : ThreadPool::DefaultThreads());
 
   using MplFit = std::pair<std::map<int, QsModel>, QsTransferModel>;
-  std::vector<StatusOr<MplFit>> fits = runner.Map(
+  std::vector<StatusOr<MplFit>> fits = pool.Map(
       options.mpls.size(), [&p, &observations, &options](size_t k)
           -> StatusOr<MplFit> {
         const units::Mpl mpl(options.mpls[k]);
@@ -82,7 +80,7 @@ StatusOr<ContenderPredictor> ContenderPredictor::Train(
   KnnSpoilerPredictor::Options knn_opts;
   knn_opts.k = options.knn_k;
   knn_opts.train_mpls = options.spoiler_train_mpls;
-  auto knn = KnnSpoilerPredictor::Fit(p.profiles_, knn_opts, &runner.pool());
+  auto knn = KnnSpoilerPredictor::Fit(p.profiles_, knn_opts, &pool);
   if (!knn.ok()) return knn.status();
   p.knn_spoiler_.emplace(std::move(*knn));
   std::vector<const TemplateProfile*> known;

@@ -1,7 +1,5 @@
 #include "core/spoiler_model.h"
 
-#include <future>
-
 namespace contender {
 
 namespace {
@@ -12,21 +10,13 @@ namespace {
 std::vector<StatusOr<SpoilerGrowthModel>> FitAllGrowthModels(
     const std::vector<TemplateProfile>& profiles,
     const std::vector<int>& train_mpls, ThreadPool* pool) {
+  auto fit = [&profiles, &train_mpls](size_t i) {
+    return FitSpoilerGrowth(profiles[i], train_mpls);
+  };
+  if (pool != nullptr) return pool->Map(profiles.size(), fit);
   std::vector<StatusOr<SpoilerGrowthModel>> out;
   out.reserve(profiles.size());
-  if (pool == nullptr) {
-    for (const TemplateProfile& p : profiles) {
-      out.push_back(FitSpoilerGrowth(p, train_mpls));
-    }
-    return out;
-  }
-  std::vector<std::future<StatusOr<SpoilerGrowthModel>>> futures;
-  futures.reserve(profiles.size());
-  for (const TemplateProfile& p : profiles) {
-    futures.push_back(pool->Submit(
-        [&p, &train_mpls] { return FitSpoilerGrowth(p, train_mpls); }));
-  }
-  for (auto& future : futures) out.push_back(future.get());
+  for (size_t i = 0; i < profiles.size(); ++i) out.push_back(fit(i));
   return out;
 }
 

@@ -69,14 +69,8 @@ void PredictionService::AddTierCounts(
 
 StatusOr<units::Seconds> PredictionService::Predict(
     int template_index, const std::vector<int>& concurrent) const {
-  const SnapshotHolder::View view = holder_.Acquire();
-  PredictRequest request;
-  request.template_index = template_index;
-  request.concurrent = concurrent;
-  const PredictResult result = PredictOn(*view, request);
-  served_.Add(view.stats_slot());
+  const PredictResult result = PredictDetailed(template_index, concurrent);
   if (!result.status.ok()) return result.status;
-  tier_counts_[static_cast<size_t>(result.tier)].Add(view.stats_slot());
   return result.latency;
 }
 

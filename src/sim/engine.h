@@ -33,6 +33,7 @@
 #include "sim/query_spec.h"
 #include "util/random.h"
 #include "util/status.h"
+#include "util/statusor.h"
 #include "util/units.h"
 
 namespace contender::sim {
@@ -171,6 +172,29 @@ class Engine {
   static constexpr double kInfinity = std::numeric_limits<double>::infinity();
   static constexpr double kEps = 1e-7;
 };
+
+/// One self-contained engine run: every spec is added at t = 0 in order.
+struct EngineRun {
+  std::vector<QuerySpec> specs;
+  SimConfig config;
+  uint64_t seed = 0;
+  /// Index into `specs` of the process the run waits for (spoiler runs wait
+  /// for the primary); -1 runs until all mortal processes complete.
+  int run_until = -1;
+};
+
+/// Outcome of one engine run.
+struct EngineRunResult {
+  /// Per-process accounting, index-aligned with EngineRun::specs.
+  std::vector<ProcessResult> results;
+  /// Virtual time at which the run stopped.
+  double duration = 0.0;
+};
+
+/// Executes one run on a fresh engine. A pure function of `run`, so
+/// independent runs can be fanned across a ThreadPool::Map and come back
+/// bit-identical to sequential execution.
+StatusOr<EngineRunResult> RunEngine(const EngineRun& run);
 
 }  // namespace contender::sim
 

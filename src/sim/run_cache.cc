@@ -66,75 +66,4 @@ void RunHasher::Add(const SimConfig& config) {
   Add(config.startup_cpu_seconds);
 }
 
-uint64_t HashEngineRun(const std::vector<QuerySpec>& specs,
-                       const SimConfig& config, uint64_t seed,
-                       int run_until_index) {
-  RunHasher hasher;
-  hasher.Add(config);
-  hasher.Add(seed);
-  hasher.Add(run_until_index);
-  hasher.Add(static_cast<uint64_t>(specs.size()));
-  for (const QuerySpec& spec : specs) hasher.Add(spec);
-  return hasher.Digest();
-}
-
-RunCache::RunCache(size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity) {}
-
-std::optional<RunCache::Entry> RunCache::Lookup(uint64_t key) {
-  MutexLock lock(&mutex_);
-  auto it = index_.find(key);
-  if (it == index_.end()) {
-    ++misses_;
-    return std::nullopt;
-  }
-  ++hits_;
-  lru_.splice(lru_.begin(), lru_, it->second);
-  return it->second->second;
-}
-
-void RunCache::Insert(uint64_t key, Entry entry) {
-  MutexLock lock(&mutex_);
-  auto it = index_.find(key);
-  if (it != index_.end()) {
-    it->second->second = std::move(entry);
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return;
-  }
-  lru_.emplace_front(key, std::move(entry));
-  index_[key] = lru_.begin();
-  while (lru_.size() > capacity_) {
-    index_.erase(lru_.back().first);
-    lru_.pop_back();
-  }
-}
-
-void RunCache::Clear() {
-  MutexLock lock(&mutex_);
-  lru_.clear();
-  index_.clear();
-  hits_ = 0;
-  misses_ = 0;
-}
-
-size_t RunCache::size() const {
-  MutexLock lock(&mutex_);
-  return lru_.size();
-}
-
-uint64_t RunCache::hits() const {
-  MutexLock lock(&mutex_);
-  return hits_;
-}
-
-uint64_t RunCache::misses() const {
-  MutexLock lock(&mutex_);
-  return misses_;
-}
-
-RunCache& RunCache::Global() {
-  static RunCache* cache = new RunCache();
-  return *cache;
-}
-
 }  // namespace contender::sim

@@ -86,7 +86,18 @@ double Flags::GetDouble(const std::string& name, double default_value) const {
 bool Flags::GetBool(const std::string& name, bool default_value) const {
   auto it = values_.find(name);
   if (it == values_.end()) return default_value;
-  return it->second != "false" && it->second != "0";
+  const std::string& value = it->second;
+  if (value == "true" || value == "1") return true;
+  if (value == "false" || value == "0") return false;
+  RejectFlag(name, value, "true, false, 1 or 0");
+}
+
+uint64_t Flags::Seed() const {
+  const int64_t seed = GetInt("seed", 42);
+  if (seed < 0) {
+    RejectFlag("seed", values_.at("seed"), "a non-negative integer");
+  }
+  return static_cast<uint64_t>(seed);
 }
 
 }  // namespace contender

@@ -1,10 +1,11 @@
 // Tiny command-line flag parser for bench and example binaries.
 //
 // Supports "--name=value" and "--name value" syntax plus boolean
-// "--name" / "--no-name". Unknown flags are reported but not fatal. A
-// numeric flag whose value is not a whole in-range number (empty, "abc",
-// "12x", overflow) is a usage error: the binary exits with status 2 and a
-// message naming the flag.
+// "--name" / "--no-name". Flags nobody looks up are ignored silently. A
+// value the lookup cannot take whole is a usage error: the binary exits
+// with status 2 and a message naming the flag. That covers a numeric value
+// that is not a whole in-range number (empty, "abc", "12x", overflow), a
+// boolean other than true/false/1/0, and a negative --seed.
 
 #ifndef CONTENDER_UTIL_FLAGS_H_
 #define CONTENDER_UTIL_FLAGS_H_
@@ -27,8 +28,8 @@ class Flags {
   double GetDouble(const std::string& name, double default_value) const;
   bool GetBool(const std::string& name, bool default_value) const;
 
-  /// Common seed flag: --seed=N (default 42).
-  uint64_t Seed() const { return static_cast<uint64_t>(GetInt("seed", 42)); }
+  /// Common seed flag: --seed=N, N >= 0 (default 42).
+  uint64_t Seed() const;
 
  private:
   std::map<std::string, std::string> values_;

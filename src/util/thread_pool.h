@@ -7,7 +7,8 @@
 // Determinism contract: tasks are *started* in submission order but may
 // *complete* in any order. Callers that need reproducible output must derive
 // all randomness (seeds) before submission and order results by submission
-// index — see sim::BatchRunner, which does exactly that.
+// index — Map does the second half: it returns results by index, so a
+// caller that seeds every task up front gets the same output at any width.
 
 #ifndef CONTENDER_UTIL_THREAD_POOL_H_
 #define CONTENDER_UTIL_THREAD_POOL_H_
@@ -65,6 +66,28 @@ class ThreadPool {
       queue_.push([task] { (*task)(); });
     }
     return future;
+  }
+
+  /// Ordered parallel map: evaluates fn(0..n-1) on the pool and returns the
+  /// results by index, whatever order the tasks complete in. `fn` must be
+  /// safe to invoke concurrently. Every task finishes before Map returns or
+  /// rethrows, so `fn` may capture the caller's locals by reference. If
+  /// tasks throw, the lowest-indexed one's exception is rethrown. Must not
+  /// be called from one of this pool's own tasks (it would wait on itself).
+  template <typename Fn>
+  auto Map(size_t n, const Fn& fn)
+      -> std::vector<std::invoke_result_t<const Fn&, size_t>> {
+    using R = std::invoke_result_t<const Fn&, size_t>;
+    std::vector<std::future<R>> futures;
+    futures.reserve(n);
+    for (size_t i = 0; i < n; ++i) {
+      futures.push_back(Submit([&fn, i] { return fn(i); }));
+    }
+    for (std::future<R>& f : futures) f.wait();
+    std::vector<R> out;
+    out.reserve(n);
+    for (std::future<R>& f : futures) out.push_back(f.get());
+    return out;
   }
 
   int num_threads() const { return static_cast<int>(workers_.size()); }

@@ -4,6 +4,7 @@
 
 #include "ml/lhs.h"
 #include "sim/spoiler.h"
+#include "util/thread_pool.h"
 #include "workload/query_plan.h"
 
 namespace contender {
@@ -13,16 +14,6 @@ WorkloadSampler::WorkloadSampler(const Workload* workload,
                                  const Options& options)
     : workload_(workload), config_(config), options_(options),
       rng_(options.seed) {}
-
-sim::BatchRunner& WorkloadSampler::runner() {
-  if (runner_ == nullptr) {
-    sim::BatchRunner::Options opts;
-    opts.threads = options_.threads;
-    opts.cache = options_.cache;
-    runner_ = std::make_unique<sim::BatchRunner>(opts);
-  }
-  return *runner_;
-}
 
 sim::EngineRun WorkloadSampler::IsolatedRun(int index, uint64_t seed) const {
   sim::EngineRun run;
@@ -87,7 +78,7 @@ StatusOr<TemplateProfile> WorkloadSampler::ProfileTemplate(
   TemplateProfile profile = MakeProfileSkeleton(index);
 
   // Isolated cold-cache run (fresh engine => empty buffer pool).
-  auto isolated = runner().RunOne(IsolatedRun(index, rng_.Next()));
+  auto isolated = sim::RunEngine(IsolatedRun(index, rng_.Next()));
   if (!isolated.ok()) return isolated.status();
   const sim::ProcessResult& r = isolated->results.back();
   profile.isolated_latency = r.latency();
@@ -105,7 +96,7 @@ StatusOr<units::Seconds> WorkloadSampler::MeasureScanTime(
     sim::TableId table) {
   auto run = ScanRun(table, rng_.Next());
   if (!run.ok()) return run.status();
-  auto outcome = runner().RunOne(*run);
+  auto outcome = sim::RunEngine(*run);
   if (!outcome.ok()) return outcome.status();
   return outcome->results.back().latency();
 }
@@ -115,7 +106,7 @@ StatusOr<units::Seconds> WorkloadSampler::MeasureSpoilerLatency(
   if (mpl.value() < 2) {
     return Status::InvalidArgument("spoiler requires MPL >= 2");
   }
-  auto outcome = runner().RunOne(SpoilerRun(index, mpl.value(), rng_.Next()));
+  auto outcome = sim::RunEngine(SpoilerRun(index, mpl.value(), rng_.Next()));
   if (!outcome.ok()) return outcome.status();
   return outcome->results.back().latency();
 }
@@ -124,7 +115,7 @@ StatusOr<std::vector<MixObservation>> WorkloadSampler::ObserveMixSeeded(
     const std::vector<int>& mix, uint64_t seed) const {
   SteadyStateOptions ss = options_.steady_state;
   ss.seed = seed;
-  auto result = RunSteadyState(*workload_, mix, config_, ss, options_.cache);
+  auto result = RunSteadyState(*workload_, mix, config_, ss);
   if (!result.ok()) return result.status();
 
   std::vector<MixObservation> out;
@@ -204,7 +195,7 @@ StatusOr<TrainingData> WorkloadSampler::CollectAll() {
   }
 
   // Phase 2: fan every engine run (isolated, spoilers, scans) across the
-  // pool; the flattened run list is consumed back in submission order.
+  // pool; the flattened run list is consumed back in index order.
   std::vector<sim::EngineRun> runs;
   for (int i = 0; i < n; ++i) {
     const ProfileTask& task = profile_tasks[static_cast<size_t>(i)];
@@ -218,7 +209,10 @@ StatusOr<TrainingData> WorkloadSampler::CollectAll() {
     if (!run.ok()) return run.status();
     runs.push_back(std::move(*run));
   }
-  std::vector<StatusOr<sim::EngineRunResult>> outcomes = runner().Run(runs);
+  ThreadPool pool(options_.threads > 0 ? options_.threads
+                                       : ThreadPool::DefaultThreads());
+  const std::vector<StatusOr<sim::EngineRunResult>> outcomes = pool.Map(
+      runs.size(), [&runs](size_t r) { return sim::RunEngine(runs[r]); });
 
   size_t cursor = 0;
   for (int i = 0; i < n; ++i) {
@@ -249,11 +243,9 @@ StatusOr<TrainingData> WorkloadSampler::CollectAll() {
     data.sampling_seconds += s_f;
   }
 
-  // Phase 3: steady-state mix observations, fanned the same way (each run
-  // memoizes through the cache inside RunSteadyState).
-  auto mix_results = runner().Map(
-      mix_tasks.size(),
-      [this, &mix_tasks](size_t m) {
+  // Phase 3: steady-state mix observations, fanned the same way.
+  const auto mix_results =
+      pool.Map(mix_tasks.size(), [this, &mix_tasks](size_t m) {
         return ObserveMixSeeded(mix_tasks[m].mix, mix_tasks[m].seed);
       });
   for (const auto& obs : mix_results) {

@@ -4,22 +4,20 @@
 // Latin Hypercube runs at higher MPLs).
 //
 // The training runs are mutually independent simulations, so CollectAll()
-// fans them across a sim::BatchRunner pool and memoizes each run in a
-// sim::RunCache. Seeds are derived in the exact order the sequential
-// protocol consumes them, so the collected data is bit-identical for every
-// pool width (including 1) and across cold/warm cache states.
+// fans them across a ThreadPool::Map, simulating each exactly once. Seeds
+// are derived in the exact order the sequential protocol consumes them, so
+// the collected data is bit-identical for every pool width (including 1).
 
 #ifndef CONTENDER_WORKLOAD_SAMPLER_H_
 #define CONTENDER_WORKLOAD_SAMPLER_H_
 
 #include <map>
-#include <memory>
 #include <utility>
 #include <vector>
 
 #include "core/template_profile.h"
-#include "sim/batch_runner.h"
 #include "sim/config.h"
+#include "sim/engine.h"
 #include "util/statusor.h"
 #include "util/units.h"
 #include "workload/steady_state.h"
@@ -52,8 +50,6 @@ class WorkloadSampler {
     uint64_t seed = 42;
     /// Pool width for CollectAll; <= 0 selects hardware concurrency.
     int threads = 0;
-    /// Run memoization cache; nullptr disables caching.
-    sim::RunCache* cache = &sim::RunCache::Global();
   };
 
   WorkloadSampler(const Workload* workload, const sim::SimConfig& config,
@@ -91,17 +87,14 @@ class WorkloadSampler {
   /// Profile fields derived from the plan alone (no simulation).
   TemplateProfile MakeProfileSkeleton(int index) const;
   /// Steady-state observation of one mix under an explicit seed
-  /// (thread-safe; memoizes through the options cache).
+  /// (thread-safe).
   StatusOr<std::vector<MixObservation>> ObserveMixSeeded(
       const std::vector<int>& mix, uint64_t seed) const;
-
-  sim::BatchRunner& runner();
 
   const Workload* workload_;
   sim::SimConfig config_;
   Options options_;
   Rng rng_;
-  std::unique_ptr<sim::BatchRunner> runner_;
 };
 
 }  // namespace contender

@@ -9,30 +9,8 @@ namespace contender {
 
 namespace {
 
-/// Content hash pinning a steady-state run: hardware model, steady-state
-/// protocol (incl. seed), and the mix — both the indices and each member's
-/// nominal spec, so workload content changes invalidate the key. Instance
-/// parameter jitter is derived from the seed, so (nominal specs, seed) pins
-/// the full instance stream.
-uint64_t HashSteadyStateRun(const Workload& workload,
-                            const std::vector<int>& mix,
-                            const sim::SimConfig& config,
-                            const SteadyStateOptions& options) {
-  sim::RunHasher hasher;
-  hasher.Add(config);
-  hasher.Add(options.seed);
-  hasher.Add(options.samples_per_stream);
-  hasher.Add(options.warmup_per_stream);
-  hasher.Add(static_cast<uint64_t>(mix.size()));
-  for (int idx : mix) {
-    hasher.Add(idx);
-    hasher.Add(workload.InstantiateNominal(idx));
-  }
-  return hasher.Digest();
-}
-
 /// Trims warmup/tail samples and computes per-stream means from the raw
-/// collected latencies (shared by the live and cache-replay paths).
+/// collected latencies.
 SteadyStateResult AssembleResult(
     const std::vector<int>& mix, const SteadyStateOptions& options,
     const std::vector<std::vector<double>>& collected, double duration) {
@@ -62,8 +40,7 @@ SteadyStateResult AssembleResult(
 StatusOr<SteadyStateResult> RunSteadyState(const Workload& workload,
                                            const std::vector<int>& mix,
                                            const sim::SimConfig& config,
-                                           const SteadyStateOptions& options,
-                                           sim::RunCache* cache) {
+                                           const SteadyStateOptions& options) {
   if (mix.empty()) {
     return Status::InvalidArgument("RunSteadyState: empty mix");
   }
@@ -75,14 +52,6 @@ StatusOr<SteadyStateResult> RunSteadyState(const Workload& workload,
   if (options.samples_per_stream <= 0) {
     return Status::InvalidArgument(
         "RunSteadyState: samples_per_stream must be positive");
-  }
-
-  uint64_t key = 0;
-  if (cache != nullptr) {
-    key = HashSteadyStateRun(workload, mix, config, options);
-    if (std::optional<sim::RunCache::Entry> entry = cache->Lookup(key)) {
-      return AssembleResult(mix, options, entry->series, entry->duration);
-    }
   }
 
   Rng rng(options.seed);
@@ -125,12 +94,6 @@ StatusOr<SteadyStateResult> RunSteadyState(const Workload& workload,
   Status st = engine.Run();
   if (!st.ok()) return st;
 
-  if (cache != nullptr) {
-    sim::RunCache::Entry entry;
-    entry.series = collected;
-    entry.duration = engine.now().value();
-    cache->Insert(key, std::move(entry));
-  }
   return AssembleResult(mix, options, collected, engine.now().value());
 }
 

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "sim/config.h"
-#include "sim/run_cache.h"
 #include "util/statusor.h"
 #include "workload/workload.h"
 
@@ -40,16 +39,12 @@ struct SteadyStateResult {
 };
 
 /// Runs the mix (workload indices, one per slot; repeats allowed) to steady
-/// state under the given hardware model. When `cache` is non-null the run is
-/// memoized under a content hash of (mix member nominal specs, hardware
-/// config, steady-state options incl. seed); a hit replays the recorded
-/// per-stream latency samples instead of re-simulating. The function is
-/// thread-safe and is fanned across a pool by WorkloadSampler::CollectAll.
+/// state under the given hardware model. A pure function of its arguments;
+/// WorkloadSampler::CollectAll fans it across a ThreadPool::Map.
 StatusOr<SteadyStateResult> RunSteadyState(const Workload& workload,
                                            const std::vector<int>& mix,
                                            const sim::SimConfig& config,
-                                           const SteadyStateOptions& options,
-                                           sim::RunCache* cache = nullptr);
+                                           const SteadyStateOptions& options);
 
 }  // namespace contender
 

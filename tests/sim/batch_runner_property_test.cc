@@ -1,16 +1,16 @@
-// Property suite for the tentpole determinism contract: fanning runs across
-// a pool of any width — or replaying them from the RunCache — produces
+// Property suite for the training determinism contract: fanning
+// sim::RunEngine calls across a ThreadPool::Map of any width produces
 // ProcessResult streams bit-identical to sequential execution.
-
-#include "sim/batch_runner.h"
 
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "sim/engine.h"
 #include "sim/spoiler.h"
 #include "util/random.h"
+#include "util/thread_pool.h"
 #include "workload/sampler.h"
 #include "workload/workload.h"
 
@@ -101,20 +101,22 @@ std::vector<EngineRun> RandomBatch(uint64_t seed) {
   return runs;
 }
 
+/// Runs the batch on a pool of `threads` workers, results by index.
+std::vector<StatusOr<EngineRunResult>> RunOnPool(
+    const std::vector<EngineRun>& runs, int threads) {
+  ThreadPool pool(threads);
+  return pool.Map(runs.size(),
+                  [&runs](size_t i) { return RunEngine(runs[i]); });
+}
+
 TEST(BatchRunnerPropertyTest, PoolExecutionMatchesSequential) {
   for (uint64_t seed : {1ull, 2ull, 3ull}) {
     const std::vector<EngineRun> runs = RandomBatch(seed);
 
     std::vector<StatusOr<EngineRunResult>> sequential;
-    for (const EngineRun& run : runs) {
-      sequential.push_back(BatchRunner::Execute(run));
-    }
+    for (const EngineRun& run : runs) sequential.push_back(RunEngine(run));
 
-    BatchRunner::Options opts;
-    opts.threads = 4;
-    opts.cache = nullptr;
-    BatchRunner runner(opts);
-    const std::vector<StatusOr<EngineRunResult>> pooled = runner.Run(runs);
+    const std::vector<StatusOr<EngineRunResult>> pooled = RunOnPool(runs, 4);
 
     ASSERT_EQ(pooled.size(), sequential.size());
     for (size_t i = 0; i < runs.size(); ++i) {
@@ -125,38 +127,10 @@ TEST(BatchRunnerPropertyTest, PoolExecutionMatchesSequential) {
 
 TEST(BatchRunnerPropertyTest, PoolWidthDoesNotChangeResults) {
   const std::vector<EngineRun> runs = RandomBatch(7);
-  RunCache cache_one(256), cache_four(256);
-  BatchRunner::Options one_opts;
-  one_opts.threads = 1;
-  one_opts.cache = &cache_one;
-  BatchRunner::Options four_opts;
-  four_opts.threads = 4;
-  four_opts.cache = &cache_four;
-  BatchRunner one(one_opts), four(four_opts);
-  const auto a = one.Run(runs);
-  const auto b = four.Run(runs);
+  const auto a = RunOnPool(runs, 1);
+  const auto b = RunOnPool(runs, 4);
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) ExpectSameOutcome(a[i], b[i]);
-}
-
-TEST(BatchRunnerPropertyTest, CacheReplayIsIdentical) {
-  const std::vector<EngineRun> runs = RandomBatch(11);
-  RunCache cache(256);
-  BatchRunner::Options opts;
-  opts.threads = 4;
-  opts.cache = &cache;
-  BatchRunner runner(opts);
-  const auto cold = runner.Run(runs);
-  const auto warm = runner.Run(runs);
-  ASSERT_EQ(cold.size(), warm.size());
-  for (size_t i = 0; i < cold.size(); ++i) {
-    ExpectSameOutcome(cold[i], warm[i]);
-    if (warm[i].ok()) {
-      EXPECT_TRUE(warm[i]->from_cache);
-      EXPECT_FALSE(cold[i]->from_cache);
-    }
-  }
-  EXPECT_GT(cache.hits(), 0u);
 }
 
 void ExpectSameTrainingData(const TrainingData& a, const TrainingData& b) {
@@ -187,48 +161,26 @@ void ExpectSameTrainingData(const TrainingData& a, const TrainingData& b) {
   }
 }
 
-WorkloadSampler::Options ReducedOptions(int threads, RunCache* cache) {
+WorkloadSampler::Options ReducedOptions(int threads) {
   WorkloadSampler::Options options;
   options.mpls = {2, 3};
   options.lhs_runs = 1;
   options.max_pair_mixes = 6;
   options.seed = 99;
   options.threads = threads;
-  options.cache = cache;
   return options;
 }
 
 TEST(BatchRunnerPropertyTest, CollectAllIsPoolWidthInvariant) {
   const Workload workload = Workload::Paper();
   const SimConfig config;
-  RunCache cache_one(1024), cache_four(1024);
-
-  WorkloadSampler one(&workload, config, ReducedOptions(1, &cache_one));
-  WorkloadSampler four(&workload, config, ReducedOptions(4, &cache_four));
+  WorkloadSampler one(&workload, config, ReducedOptions(1));
+  WorkloadSampler four(&workload, config, ReducedOptions(4));
   auto a = one.CollectAll();
   auto b = four.CollectAll();
   ASSERT_TRUE(a.ok()) << a.status();
   ASSERT_TRUE(b.ok()) << b.status();
   ExpectSameTrainingData(*a, *b);
-}
-
-TEST(BatchRunnerPropertyTest, CollectAllWarmCacheReplaysExactly) {
-  const Workload workload = Workload::Paper();
-  const SimConfig config;
-  RunCache cache(1024);
-
-  WorkloadSampler cold(&workload, config, ReducedOptions(2, &cache));
-  auto a = cold.CollectAll();
-  ASSERT_TRUE(a.ok()) << a.status();
-  const uint64_t misses_after_cold = cache.misses();
-
-  WorkloadSampler warm(&workload, config, ReducedOptions(2, &cache));
-  auto b = warm.CollectAll();
-  ASSERT_TRUE(b.ok()) << b.status();
-  ExpectSameTrainingData(*a, *b);
-  // The warm pass re-simulated nothing.
-  EXPECT_EQ(cache.misses(), misses_after_cold);
-  EXPECT_GT(cache.hits(), 0u);
 }
 
 }  // namespace

@@ -427,5 +427,41 @@ TEST(EngineTest, InvalidProcessIdRejected) {
   EXPECT_FALSE(engine.RunUntilProcessCompletes(-1).ok());
 }
 
+TEST(EngineTest, RunEngineMatchesAHandDrivenEngine) {
+  EngineRun run;
+  run.config = QuietConfig();
+  run.seed = 9;
+  run.specs = MakeSpoiler(run.config, units::Mpl(3));
+  run.specs.push_back(ScanQuery("p", 0, 500.0 * kMB));
+  run.run_until = static_cast<int>(run.specs.size()) - 1;
+  auto out = RunEngine(run);
+  ASSERT_TRUE(out.ok()) << out.status();
+  ASSERT_EQ(out->results.size(), run.specs.size());
+
+  Engine engine(run.config, run.seed);
+  int pid = -1;
+  for (const QuerySpec& spec : run.specs) {
+    pid = engine.AddProcess(spec, units::Seconds(0.0));
+  }
+  ASSERT_TRUE(engine.RunUntilProcessCompletes(pid).ok());
+  EXPECT_EQ(out->results.back().end_time, engine.result(pid).end_time);
+  EXPECT_EQ(out->duration, engine.now().value());
+}
+
+TEST(EngineTest, RunEngineRejectsMalformedRuns) {
+  EngineRun empty;
+  EXPECT_EQ(RunEngine(empty).status().code(), StatusCode::kInvalidArgument);
+
+  EngineRun run;
+  run.specs.push_back(ScanQuery("p", 0, 100.0 * kMB));
+  for (int bad : {1, 5, -2}) {
+    run.run_until = bad;
+    EXPECT_EQ(RunEngine(run).status().code(), StatusCode::kInvalidArgument)
+        << "run_until " << bad;
+  }
+  run.run_until = -1;
+  EXPECT_TRUE(RunEngine(run).ok());
+}
+
 }  // namespace
 }  // namespace contender::sim

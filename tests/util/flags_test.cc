@@ -88,5 +88,37 @@ TEST(FlagsDeathTest, ValuelessNumericFlagIsRejected) {
   EXPECT_EXIT(f.GetInt("mpl", 3), ::testing::ExitedWithCode(2), "flag --mpl");
 }
 
+TEST(FlagsDeathTest, NonBooleanValueExitsNamingTheFlag) {
+  for (const char* value : {"no", "yes", "off", "on", "", "False", "2"}) {
+    Flags f = MakeFlags({std::string("--check=") + value});
+    EXPECT_EXIT(f.GetBool("check", true), ::testing::ExitedWithCode(2),
+                "flag --check")
+        << "value '" << value << "'";
+  }
+}
+
+TEST(FlagsTest, BooleanAcceptsTrueFalseOneZero) {
+  Flags f = MakeFlags({"--a=true", "--b=1", "--c=false", "--d=0", "--e"});
+  EXPECT_TRUE(f.GetBool("a", false));
+  EXPECT_TRUE(f.GetBool("b", false));
+  EXPECT_FALSE(f.GetBool("c", true));
+  EXPECT_FALSE(f.GetBool("d", true));
+  EXPECT_TRUE(f.GetBool("e", false));
+}
+
+TEST(FlagsDeathTest, NegativeSeedExits) {
+  for (const char* value : {"-1", "-42", "-9223372036854775808"}) {
+    Flags f = MakeFlags({std::string("--seed=") + value});
+    EXPECT_EXIT(f.Seed(), ::testing::ExitedWithCode(2), "flag --seed")
+        << "value '" << value << "'";
+  }
+}
+
+TEST(FlagsTest, SeedAcceptsZeroAndLargeValues) {
+  EXPECT_EQ(MakeFlags({"--seed=0"}).Seed(), 0u);
+  EXPECT_EQ(MakeFlags({"--seed=9223372036854775807"}).Seed(),
+            uint64_t{9223372036854775807u});
+}
+
 }  // namespace
 }  // namespace contender

@@ -6,9 +6,13 @@
 #include <mutex>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "util/failpoint.h"
+#include "util/statusor.h"
 
 namespace contender {
 namespace {
@@ -118,6 +122,73 @@ TEST(ThreadPoolTest, ConcurrentSubmittersAreSafe) {
   for (std::thread& t : submitters) t.join();
   for (auto& f : futures) f.get();
   EXPECT_EQ(completed.load(), 200);
+}
+
+TEST(ThreadPoolTest, MapReturnsResultsByIndexUnderOutOfOrderCompletion) {
+  // Task i cannot finish before task i + 1 has, so the tasks complete in
+  // reverse index order; Map must still return them by index.
+  constexpr size_t kTasks = 4;
+  ThreadPool pool(static_cast<int>(kTasks));
+  std::vector<std::promise<void>> finished(kTasks);
+  std::vector<std::shared_future<void>> finished_futures;
+  for (std::promise<void>& p : finished) {
+    finished_futures.push_back(p.get_future().share());
+  }
+  std::atomic<int> completion_rank{0};
+  std::vector<int> rank_of(kTasks, -1);
+  const std::vector<StatusOr<size_t>> out =
+      pool.Map(kTasks, [&](size_t i) -> StatusOr<size_t> {
+        if (i + 1 < kTasks) finished_futures[i + 1].wait();
+        rank_of[i] = completion_rank.fetch_add(1);
+        finished[i].set_value();
+        if (i == 2) return Status::Internal("task 2 failed");
+        return i * 10;
+      });
+  ASSERT_EQ(out.size(), kTasks);
+  for (size_t i = 0; i < kTasks; ++i) {
+    EXPECT_EQ(rank_of[i], static_cast<int>(kTasks - 1 - i));
+    if (i == 2) {
+      EXPECT_EQ(out[i].status().code(), StatusCode::kInternal);
+    } else {
+      ASSERT_TRUE(out[i].ok());
+      EXPECT_EQ(*out[i], i * 10);
+    }
+  }
+}
+
+TEST(ThreadPoolTest, MapRethrowsTheLowestIndexExceptionAfterAllTasksFinish) {
+  ThreadPool pool(4);
+  std::atomic<int> finished{0};
+  try {
+    pool.Map(32, [&finished](size_t i) {
+      if (i == 9) throw std::runtime_error("nine");
+      if (i == 3) throw std::runtime_error("three");
+      finished.fetch_add(1);
+      return i;
+    });
+    FAIL() << "Map swallowed the task exceptions";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "three");
+  }
+  // Map does not return or rethrow while a task can still touch the
+  // caller's locals.
+  EXPECT_EQ(finished.load(), 30);
+}
+
+TEST(ThreadPoolTest, MapDegradesInlineWhenSubmitFailPointFires) {
+  ThreadPool pool(4);
+  FailPointRegistry::Global().ArmProbability("util.thread_pool.submit", 1.0);
+  const std::thread::id caller = std::this_thread::get_id();
+  const std::vector<std::pair<size_t, std::thread::id>> out =
+      pool.Map(16, [](size_t i) {
+        return std::make_pair(i, std::this_thread::get_id());
+      });
+  FailPointRegistry::Global().DisarmAll();
+  ASSERT_EQ(out.size(), 16u);
+  for (size_t i = 0; i < out.size(); ++i) {
+    EXPECT_EQ(out[i].first, i);
+    EXPECT_EQ(out[i].second, caller);
+  }
 }
 
 }  // namespace
