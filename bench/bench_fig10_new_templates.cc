@@ -22,7 +22,9 @@ int main(int argc, char** argv) {
   using bench::MakeHeldOutView;
 
   Flags flags(argc, argv);
-  bench::Experiment e = bench::CollectExperiment(flags);
+  const WorkloadSampler::Options sampling = bench::ExperimentOptions(flags);
+  flags.RejectUnknown();
+  bench::Experiment e = bench::CollectExperiment(sampling);
   const int n = e.workload.size();
   Rng perturb_rng(e.seed ^ 0x150);
 

@@ -14,7 +14,9 @@ int main(int argc, char** argv) {
   using namespace contender;
 
   Flags flags(argc, argv);
-  bench::Experiment e = bench::CollectExperiment(flags);
+  const WorkloadSampler::Options sampling = bench::ExperimentOptions(flags);
+  flags.RejectUnknown();
+  bench::Experiment e = bench::CollectExperiment(sampling);
 
   // The paper's 17-template subset (Fig. 3 x-axis).
   const std::vector<int> subset_ids = {2,  15, 17, 20, 22, 25, 26, 27, 32,

@@ -14,7 +14,9 @@ int main(int argc, char** argv) {
   using namespace contender;
 
   Flags flags(argc, argv);
-  bench::Experiment e = bench::CollectExperiment(flags);
+  const WorkloadSampler::Options sampling = bench::ExperimentOptions(flags);
+  flags.RejectUnknown();
+  bench::Experiment e = bench::CollectExperiment(sampling);
 
   std::cout << "=== Figure 6: spoiler latency vs multiprogramming level "
                "===\n\n";

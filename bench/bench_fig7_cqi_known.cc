@@ -12,7 +12,9 @@ int main(int argc, char** argv) {
 
   Flags flags(argc, argv);
   const int mpl = static_cast<int>(flags.GetInt("mpl", 4));
-  bench::Experiment e = bench::CollectExperiment(flags);
+  const WorkloadSampler::Options sampling = bench::ExperimentOptions(flags);
+  flags.RejectUnknown();
+  bench::Experiment e = bench::CollectExperiment(sampling);
 
   std::cout << "=== Figure 7: per-template prediction error at MPL " << mpl
             << " (CQI-only model) ===\n\n";

@@ -13,7 +13,10 @@ int main(int argc, char** argv) {
   using namespace contender;
 
   Flags flags(argc, argv);
-  bench::Experiment e = bench::CollectExperiment(flags);
+  const int k = static_cast<int>(flags.GetInt("k", 3));
+  const WorkloadSampler::Options sampling = bench::ExperimentOptions(flags);
+  flags.RejectUnknown();
+  bench::Experiment e = bench::CollectExperiment(sampling);
 
   std::cout << "=== Figure 9: spoiler prediction for new templates "
                "(leave-one-out) ===\n\n";
@@ -28,7 +31,7 @@ int main(int argc, char** argv) {
         if (i != held) refs.push_back(e.data.profiles[i]);
       }
       KnnSpoilerPredictor::Options opts;
-      opts.k = static_cast<int>(flags.GetInt("k", 3));
+      opts.k = k;
       auto knn = KnnSpoilerPredictor::Fit(refs, opts);
       auto io = IoTimeSpoilerPredictor::Fit(refs, {1, 2, 3, 4, 5});
       CONTENDER_CHECK(knn.ok());

@@ -51,18 +51,7 @@ bool SameFleet(const FleetResult& a, const FleetResult& b) {
 
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
-  std::cout << "Training Contender on the TPC-DS-like workload...\n";
-  bench::Experiment e = bench::CollectExperiment(flags);
-  auto predictor =
-      ContenderPredictor::Train(e.data.profiles, e.data.scan_times,
-                                e.data.observations, {});
-  CONTENDER_CHECK(predictor.ok()) << predictor.status();
-
-  std::vector<units::Seconds> reference;
-  for (const TemplateProfile& p : e.data.profiles) {
-    reference.push_back(p.isolated_latency);
-  }
-
+  const WorkloadSampler::Options sampling = bench::ExperimentOptions(flags);
   PopulationOptions population_options;
   population_options.num_tenants =
       static_cast<int>(flags.GetInt("tenants", 4));
@@ -75,10 +64,24 @@ int main(int argc, char** argv) {
       flags.GetDouble("deadline_probability", 0.6);
   population_options.min_slack = flags.GetDouble("min_slack", 3.0);
   population_options.max_slack = flags.GetDouble("max_slack", 10.0);
-  population_options.seed = e.seed;
-
+  population_options.seed = sampling.seed;
   const int target_mpl = static_cast<int>(flags.GetInt("mpl", 3));
   const bool check_wins = flags.GetBool("check", true);
+  const std::string json_path = flags.GetString("json", "BENCH_fleet.json");
+  flags.RejectUnknown();
+
+  std::cout << "Training Contender on the TPC-DS-like workload...\n";
+  bench::Experiment e = bench::CollectExperiment(sampling);
+  auto predictor =
+      ContenderPredictor::Train(e.data.profiles, e.data.scan_times,
+                                e.data.observations, {});
+  CONTENDER_CHECK(predictor.ok()) << predictor.status();
+
+  std::vector<units::Seconds> reference;
+  for (const TemplateProfile& p : e.data.profiles) {
+    reference.push_back(p.isolated_latency);
+  }
+
   const std::vector<int> node_counts = {2, 4};
   const std::vector<double> skews = {0.0, 1.5};
 
@@ -202,7 +205,6 @@ int main(int argc, char** argv) {
                  "p95 and SLA misses on the grid aggregate (checked).\n";
   }
 
-  const std::string json_path = flags.GetString("json", "BENCH_fleet.json");
   bench::Json root = bench::Json::Object();
   root.Set("bench", "fleet")
       .Set("seed", e.seed)

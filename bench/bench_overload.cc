@@ -98,18 +98,7 @@ size_t ShedCount(const FleetMetrics& m, overload::ShedReason reason) {
 
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
-  std::cout << "Training Contender on the TPC-DS-like workload...\n";
-  bench::Experiment e = bench::CollectExperiment(flags);
-  auto predictor =
-      ContenderPredictor::Train(e.data.profiles, e.data.scan_times,
-                                e.data.observations, {});
-  CONTENDER_CHECK(predictor.ok()) << predictor.status();
-
-  std::vector<units::Seconds> reference;
-  for (const TemplateProfile& p : e.data.profiles) {
-    reference.push_back(p.isolated_latency);
-  }
-
+  const WorkloadSampler::Options sampling = bench::ExperimentOptions(flags);
   PopulationOptions population_options;
   population_options.num_tenants =
       static_cast<int>(flags.GetInt("tenants", 6));
@@ -125,10 +114,25 @@ int main(int argc, char** argv) {
       flags.GetDouble("deadline_probability", 0.6);
   population_options.min_slack = flags.GetDouble("min_slack", 3.0);
   population_options.max_slack = flags.GetDouble("max_slack", 10.0);
-  population_options.seed = e.seed;
-
+  population_options.seed = sampling.seed;
   const int target_mpl = static_cast<int>(flags.GetInt("mpl", 3));
   const bool check_wins = flags.GetBool("check", true);
+  const std::string json_path =
+      flags.GetString("json", "BENCH_overload.json");
+  flags.RejectUnknown();
+
+  std::cout << "Training Contender on the TPC-DS-like workload...\n";
+  bench::Experiment e = bench::CollectExperiment(sampling);
+  auto predictor =
+      ContenderPredictor::Train(e.data.profiles, e.data.scan_times,
+                                e.data.observations, {});
+  CONTENDER_CHECK(predictor.ok()) << predictor.status();
+
+  std::vector<units::Seconds> reference;
+  for (const TemplateProfile& p : e.data.profiles) {
+    reference.push_back(p.isolated_latency);
+  }
+
   const std::vector<std::string> scenario_names = {
       "poisson-steady", "flash-crowd", "heavy-tail-tenants"};
   const std::vector<int> node_counts = {2, 4};
@@ -300,8 +304,6 @@ int main(int argc, char** argv) {
                  "completions, under flash-crowd traffic (checked).\n";
   }
 
-  const std::string json_path =
-      flags.GetString("json", "BENCH_overload.json");
   bench::Json root = bench::Json::Object();
   root.Set("bench", "overload")
       .Set("seed", e.seed)

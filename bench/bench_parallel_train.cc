@@ -28,11 +28,8 @@ double Seconds(std::chrono::steady_clock::time_point start) {
 }
 
 TrainedRun RunPipeline(const Workload& workload, const sim::SimConfig& config,
-                       const Flags& flags, int threads) {
+                       WorkloadSampler::Options options, int threads) {
   TrainedRun run;
-  WorkloadSampler::Options options;
-  options.seed = flags.Seed();
-  options.lhs_runs = static_cast<int>(flags.GetInt("lhs_runs", 4));
   options.threads = threads;
 
   auto collect_start = std::chrono::steady_clock::now();
@@ -85,15 +82,20 @@ bool Identical(const TrainedRun& a, const TrainedRun& b) {
 
 int Main(int argc, char** argv) {
   Flags flags(argc, argv);
+  WorkloadSampler::Options sampling;
+  sampling.seed = flags.Seed();
+  sampling.lhs_runs = static_cast<int>(flags.GetInt("lhs_runs", 4));
+  const int wide = static_cast<int>(flags.GetInt("threads", 4));
+  flags.RejectUnknown();
   const Workload workload = Workload::Paper();
   const sim::SimConfig config;
-  const int wide = static_cast<int>(flags.GetInt("threads", 4));
 
   std::cout << "=== Parallel profiling & training (CollectAll + Train) "
                "===\n\n";
 
-  const TrainedRun one = RunPipeline(workload, config, flags, /*threads=*/1);
-  const TrainedRun many = RunPipeline(workload, config, flags, wide);
+  const TrainedRun one =
+      RunPipeline(workload, config, sampling, /*threads=*/1);
+  const TrainedRun many = RunPipeline(workload, config, sampling, wide);
 
   CONTENDER_CHECK(Identical(one, many))
       << "pool-" << wide << " diverged from pool-1";

@@ -19,7 +19,9 @@ int main(int argc, char** argv) {
   using namespace contender;
 
   Flags flags(argc, argv);
-  bench::Experiment e = bench::CollectExperiment(flags);
+  const WorkloadSampler::Options sampling = bench::ExperimentOptions(flags);
+  flags.RejectUnknown();
+  bench::Experiment e = bench::CollectExperiment(sampling);
   const std::vector<int> mpls = {2, 3, 4, 5};
   const int lhs_runs_per_mpl = 2;  // samples of the new template per MPL
 

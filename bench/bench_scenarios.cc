@@ -88,8 +88,25 @@ void CheckTraceInvariance(const scenario::Scenario& scenario,
 
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
+  const WorkloadSampler::Options sampling = bench::ExperimentOptions(flags);
+  scenario::ScenarioParams params;
+  params.num_requests = static_cast<int>(flags.GetInt("requests", 48));
+  params.mean_interarrival =
+      units::Seconds(flags.GetDouble("mean_interarrival", 25.0));
+  params.deadline_probability = flags.GetDouble("deadline_probability", 0.5);
+  params.min_slack = flags.GetDouble("min_slack", 3.0);
+  params.max_slack = flags.GetDouble("max_slack", 10.0);
+  params.seed = sampling.seed;
+  sched::ScheduleOptions schedule_options;
+  schedule_options.target_mpl = static_cast<int>(flags.GetInt("mpl", 3));
+  schedule_options.seed = sampling.seed;
+  const bool check = flags.GetBool("check", true);
+  const std::string json_path =
+      flags.GetString("json", "BENCH_scenarios.json");
+  flags.RejectUnknown();
+
   std::cout << "Training Contender on the TPC-DS-like workload...\n";
-  bench::Experiment e = bench::CollectExperiment(flags);
+  bench::Experiment e = bench::CollectExperiment(sampling);
   auto predictor = ContenderPredictor::Train(
       e.data.profiles, e.data.scan_times, e.data.observations, {});
   CONTENDER_CHECK(predictor.ok()) << predictor.status();
@@ -120,20 +137,6 @@ int main(int argc, char** argv) {
             << "observations for the adhoc-novel transfer stress ("
             << stressed_observations.size() << " of "
             << e.data.observations.size() << " observations kept)\n\n";
-
-  scenario::ScenarioParams params;
-  params.num_requests = static_cast<int>(flags.GetInt("requests", 48));
-  params.mean_interarrival =
-      units::Seconds(flags.GetDouble("mean_interarrival", 25.0));
-  params.deadline_probability = flags.GetDouble("deadline_probability", 0.5);
-  params.min_slack = flags.GetDouble("min_slack", 3.0);
-  params.max_slack = flags.GetDouble("max_slack", 10.0);
-  params.seed = e.seed;
-
-  sched::ScheduleOptions schedule_options;
-  schedule_options.target_mpl = static_cast<int>(flags.GetInt("mpl", 3));
-  schedule_options.seed = e.seed;
-  const bool check = flags.GetBool("check", true);
 
   const sched::ScheduleSimulator simulator(&e.workload, e.config);
   TablePrinter table({"Scenario", "Policy", "Makespan", "p95 resp",
@@ -253,8 +256,6 @@ int main(int argc, char** argv) {
                  "replay and across pool widths.\n";
   }
 
-  const std::string json_path =
-      flags.GetString("json", "BENCH_scenarios.json");
   bench::Json root = bench::Json::Object();
   root.Set("bench", "scenarios")
       .Set("seed", e.seed)

@@ -52,17 +52,7 @@ bool SameSchedule(const ScheduleResult& a, const ScheduleResult& b) {
 
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
-  std::cout << "Training Contender on the TPC-DS-like workload...\n";
-  bench::Experiment e = bench::CollectExperiment(flags);
-  auto predictor =
-      ContenderPredictor::Train(e.data.profiles, e.data.scan_times,
-                                e.data.observations, {});
-  CONTENDER_CHECK(predictor.ok()) << predictor.status();
-
-  std::vector<units::Seconds> reference;
-  for (const TemplateProfile& p : e.data.profiles) {
-    reference.push_back(p.isolated_latency);
-  }
+  const WorkloadSampler::Options sampling = bench::ExperimentOptions(flags);
   ArrivalOptions arrivals;
   arrivals.num_requests =
       static_cast<int>(flags.GetInt("requests", 32));
@@ -72,7 +62,22 @@ int main(int argc, char** argv) {
       flags.GetDouble("deadline_probability", 0.5);
   arrivals.min_slack = flags.GetDouble("min_slack", 3.0);
   arrivals.max_slack = flags.GetDouble("max_slack", 10.0);
-  arrivals.seed = e.seed;
+  arrivals.seed = sampling.seed;
+  const bool check_wins = flags.GetBool("check", true);
+  const std::string json_path = flags.GetString("json", "BENCH_sched.json");
+  flags.RejectUnknown();
+
+  std::cout << "Training Contender on the TPC-DS-like workload...\n";
+  bench::Experiment e = bench::CollectExperiment(sampling);
+  auto predictor =
+      ContenderPredictor::Train(e.data.profiles, e.data.scan_times,
+                                e.data.observations, {});
+  CONTENDER_CHECK(predictor.ok()) << predictor.status();
+
+  std::vector<units::Seconds> reference;
+  for (const TemplateProfile& p : e.data.profiles) {
+    reference.push_back(p.isolated_latency);
+  }
   auto generated = GenerateArrivals(reference, arrivals);
   CONTENDER_CHECK(generated.ok()) << generated.status();
   const std::vector<Request> requests = std::move(*generated);
@@ -83,7 +88,6 @@ int main(int argc, char** argv) {
             << FormatPercent(arrivals.deadline_probability, 0)
             << " of requests\n\n";
 
-  const bool check_wins = flags.GetBool("check", true);
   ScheduleSimulator simulator(&e.workload, e.config);
   TablePrinter table({"Policy", "MPL", "Makespan", "Mean wait", "p95 resp",
                       "p99 resp", "SLA miss", "Pred err"});
@@ -150,7 +154,6 @@ int main(int argc, char** argv) {
                  "latency at every MPL (checked).\n";
   }
 
-  const std::string json_path = flags.GetString("json", "BENCH_sched.json");
   bench::Json root = bench::Json::Object();
   root.Set("bench", "scheduler")
       .Set("seed", e.seed)

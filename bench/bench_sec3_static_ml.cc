@@ -13,7 +13,9 @@ int main(int argc, char** argv) {
   using namespace contender;
 
   Flags flags(argc, argv);
-  bench::Experiment e = bench::CollectExperiment(flags);
+  const WorkloadSampler::Options sampling = bench::ExperimentOptions(flags);
+  flags.RejectUnknown();
+  bench::Experiment e = bench::CollectExperiment(sampling);
 
   std::vector<MixObservation> mpl2;
   for (const MixObservation& o : e.data.observations) {

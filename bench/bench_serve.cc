@@ -154,8 +154,18 @@ ThroughputResult MeasureThroughput(const PredictionService& service,
 
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
+  const WorkloadSampler::Options sampling = bench::ExperimentOptions(flags);
+  const size_t total_requests =
+      static_cast<size_t>(flags.GetInt("requests", 4000));
+  const bool check = flags.GetBool("check", false);
+  const int refit_rounds =
+      static_cast<int>(flags.GetInt("refit_rounds", 4));
+  const std::string json_path =
+      flags.GetString("json", "BENCH_serve.json");
+  flags.RejectUnknown();
+
   std::cout << "Training Contender on the TPC-DS-like workload...\n";
-  bench::Experiment e = bench::CollectExperiment(flags);
+  bench::Experiment e = bench::CollectExperiment(sampling);
   auto predictor = ContenderPredictor::Train(
       e.data.profiles, e.data.scan_times, e.data.observations, {});
   CONTENDER_CHECK(predictor.ok()) << predictor.status();
@@ -168,10 +178,7 @@ int main(int argc, char** argv) {
   service_options.health =
       std::make_shared<HealthTracker>(initial_snapshot->num_templates());
   PredictionService service(std::move(initial_snapshot), service_options);
-  const size_t total_requests =
-      static_cast<size_t>(flags.GetInt("requests", 4000));
   const unsigned hardware = std::thread::hardware_concurrency();
-  const bool check = flags.GetBool("check", false);
 
   // Experiment 1: throughput scaling over client thread counts. Each row
   // reports the merged latency distribution plus the worst single-thread
@@ -223,8 +230,6 @@ int main(int argc, char** argv) {
 
   // Experiment 2: tail latency while the controller hot-swaps refit
   // snapshots under live traffic, with batch-consistency verification.
-  const int refit_rounds =
-      static_cast<int>(flags.GetInt("refit_rounds", 4));
   ObservationLog log(&service);
   RefitOptions refit_options;
   refit_options.min_new_observations = 32;
@@ -344,8 +349,6 @@ int main(int argc, char** argv) {
             << " tier1=" << tier_transfer << " tier2=" << tier_isolated
             << ", breaker trips " << breaker_trips << "\n";
 
-  const std::string json_path =
-      flags.GetString("json", "BENCH_serve.json");
   bench::Json root = bench::Json::Object();
   root.Set("bench", "serve")
       .Set("seed", e.seed)

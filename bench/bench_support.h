@@ -29,17 +29,22 @@ struct Experiment {
   uint64_t seed = 42;
 };
 
-/// Collects the full §2 sampling protocol (isolated profiles, spoiler
-/// latencies, scan times, all pairs at MPL 2, LHS runs at MPL 3–5), fanned
-/// across a thread pool. Honors --seed, --lhs_runs and --threads (0 =
-/// hardware concurrency); results are bit-identical for every thread count.
-inline Experiment CollectExperiment(const Flags& flags) {
-  Experiment e;
-  e.seed = flags.Seed();
+/// The sampling options selected by --seed, --lhs_runs and --threads (0 =
+/// hardware concurrency).
+inline WorkloadSampler::Options ExperimentOptions(const Flags& flags) {
   WorkloadSampler::Options options;
-  options.seed = e.seed;
+  options.seed = flags.Seed();
   options.lhs_runs = static_cast<int>(flags.GetInt("lhs_runs", 4));
   options.threads = static_cast<int>(flags.GetInt("threads", 0));
+  return options;
+}
+
+/// Collects the full §2 sampling protocol (isolated profiles, spoiler
+/// latencies, scan times, all pairs at MPL 2, LHS runs at MPL 3–5), fanned
+/// across a thread pool; results are bit-identical for every thread count.
+inline Experiment CollectExperiment(const WorkloadSampler::Options& options) {
+  Experiment e;
+  e.seed = options.seed;
   WorkloadSampler sampler(&e.workload, e.config, options);
   auto data = sampler.CollectAll();
   CONTENDER_CHECK(data.ok()) << data.status();

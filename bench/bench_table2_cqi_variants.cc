@@ -12,7 +12,9 @@ int main(int argc, char** argv) {
   using bench::WorkloadQsMre;
 
   Flags flags(argc, argv);
-  bench::Experiment e = CollectExperiment(flags);
+  const WorkloadSampler::Options sampling = bench::ExperimentOptions(flags);
+  flags.RejectUnknown();
+  bench::Experiment e = CollectExperiment(sampling);
 
   std::cout << "=== Table 2: MRE of CQI-based latency prediction "
                "(known templates, MPL 2-5) ===\n\n";

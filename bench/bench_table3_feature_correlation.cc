@@ -17,7 +17,9 @@ int main(int argc, char** argv) {
 
   Flags flags(argc, argv);
   const int mpl = static_cast<int>(flags.GetInt("mpl", 2));
-  bench::Experiment e = bench::CollectExperiment(flags);
+  const WorkloadSampler::Options sampling = bench::ExperimentOptions(flags);
+  flags.RejectUnknown();
+  bench::Experiment e = bench::CollectExperiment(sampling);
 
   auto models = FitReferenceModels(e.data.profiles, e.data.scan_times,
                                    e.data.observations, units::Mpl(mpl));

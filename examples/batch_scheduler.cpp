@@ -25,11 +25,15 @@ using namespace contender;
 
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
+  const uint64_t seed = flags.Seed();
+  const int num_requests = static_cast<int>(flags.GetInt("requests", 24));
+  const int target_mpl = static_cast<int>(flags.GetInt("mpl", 3));
+  flags.RejectUnknown();
   Workload workload = Workload::Paper();
   sim::SimConfig machine;
 
   WorkloadSampler::Options sampling;
-  sampling.seed = flags.Seed();
+  sampling.seed = seed;
   WorkloadSampler sampler(&workload, machine, sampling);
   std::cout << "Training Contender...\n";
   auto data = sampler.CollectAll();
@@ -45,9 +49,9 @@ int main(int argc, char** argv) {
     reference.push_back(p.isolated_latency);
   }
   sched::ArrivalOptions arrivals;
-  arrivals.num_requests = static_cast<int>(flags.GetInt("requests", 24));
+  arrivals.num_requests = num_requests;
   arrivals.mean_interarrival = units::Seconds(30.0);
-  arrivals.seed = flags.Seed();
+  arrivals.seed = seed;
   auto generated = sched::GenerateArrivals(reference, arrivals);
   CONTENDER_CHECK(generated.ok()) << generated.status();
   const std::vector<sched::Request> requests = std::move(*generated);
@@ -55,8 +59,8 @@ int main(int argc, char** argv) {
   sched::ScheduleSimulator simulator(&workload, machine);
   sched::MixOracle oracle(&*predictor);
   sched::ScheduleOptions options;
-  options.target_mpl = static_cast<int>(flags.GetInt("mpl", 3));
-  options.seed = flags.Seed();
+  options.target_mpl = target_mpl;
+  options.seed = seed;
 
   TablePrinter table({"Policy", "Makespan", "Mean wait", "p95 resp",
                       "Speedup"});

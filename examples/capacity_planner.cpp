@@ -18,14 +18,15 @@ using namespace contender;
 
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
+  // SLO: each query must finish within slo_factor x isolated latency.
+  const double slo_factor = flags.GetDouble("slo_factor", 3.5);
+  const uint64_t seed = flags.Seed();
+  flags.RejectUnknown();
   Workload workload = Workload::Paper();
   sim::SimConfig machine;
 
-  // SLO: each query must finish within slo_factor x isolated latency.
-  const double slo_factor = flags.GetDouble("slo_factor", 3.5);
-
   WorkloadSampler::Options sampling;
-  sampling.seed = flags.Seed();
+  sampling.seed = seed;
   WorkloadSampler sampler(&workload, machine, sampling);
   std::cout << "Training Contender...\n";
   auto data = sampler.CollectAll();
@@ -65,7 +66,7 @@ int main(int argc, char** argv) {
 
     // Validate with a steady-state execution.
     SteadyStateOptions ss;
-    ss.seed = flags.Seed() + static_cast<uint64_t>(mpl);
+    ss.seed = seed + static_cast<uint64_t>(mpl);
     auto observed = RunSteadyState(workload, mix, machine, ss);
     CONTENDER_CHECK(observed.ok());
     double worst_observed = 0.0;

@@ -54,13 +54,28 @@ const scenario::Scenario& ResolveScenario(const std::string& name) {
 
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
-  const scenario::Scenario& scenario_choice =
-      ResolveScenario(flags.GetString("scenario", "poisson-steady"));
+  const std::string scenario_name =
+      flags.GetString("scenario", "poisson-steady");
+  const uint64_t seed = flags.Seed();
+  PopulationOptions population_options;
+  population_options.num_tenants =
+      static_cast<int>(flags.GetInt("tenants", 4));
+  population_options.num_requests =
+      static_cast<int>(flags.GetInt("requests", 64));
+  population_options.mean_interarrival =
+      units::Seconds(flags.GetDouble("mean_interarrival", 20.0));
+  population_options.skew = flags.GetDouble("skew", 1.0);
+  population_options.templates_per_tenant = 10;
+  population_options.deadline_probability = 0.6;
+  population_options.seed = seed;
+  const int target_mpl = static_cast<int>(flags.GetInt("mpl", 3));
+  flags.RejectUnknown();
+  const scenario::Scenario& scenario_choice = ResolveScenario(scenario_name);
   Workload workload = Workload::Paper();
   sim::SimConfig machine;
 
   WorkloadSampler::Options sampling;
-  sampling.seed = flags.Seed();
+  sampling.seed = seed;
   WorkloadSampler sampler(&workload, machine, sampling);
   std::cout << "Training Contender...\n";
   auto data = sampler.CollectAll();
@@ -75,17 +90,6 @@ int main(int argc, char** argv) {
     reference.push_back(p.isolated_latency);
   }
 
-  PopulationOptions population_options;
-  population_options.num_tenants =
-      static_cast<int>(flags.GetInt("tenants", 4));
-  population_options.num_requests =
-      static_cast<int>(flags.GetInt("requests", 64));
-  population_options.mean_interarrival =
-      units::Seconds(flags.GetDouble("mean_interarrival", 20.0));
-  population_options.skew = flags.GetDouble("skew", 1.0);
-  population_options.templates_per_tenant = 10;
-  population_options.deadline_probability = 0.6;
-  population_options.seed = flags.Seed();
   auto population =
       GeneratePopulation(reference, population_options, scenario_choice);
   CONTENDER_CHECK(population.ok()) << population.status();
@@ -98,9 +102,9 @@ int main(int argc, char** argv) {
       population->requests[population->requests.size() / 2];
   FleetOptions options;
   options.num_nodes = 4;
-  options.target_mpl = static_cast<int>(flags.GetInt("mpl", 3));
+  options.target_mpl = target_mpl;
   options.policy = RoutePolicy::kContentionAware;
-  options.seed = flags.Seed();
+  options.seed = seed;
   options.threads = 0;  // all cores; results are thread-count invariant
   options.drains.push_back(ScheduledDrain{1, midpoint.arrival_time});
 

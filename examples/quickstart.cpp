@@ -18,6 +18,8 @@ using namespace contender;
 
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
+  const uint64_t seed = flags.Seed();
+  flags.RejectUnknown();
 
   // 1. The workload: a TPC-DS-like catalog with 25 query templates, and
   //    the simulated 8-core / 8 GB / single-disk machine.
@@ -28,7 +30,7 @@ int main(int argc, char** argv) {
   //    and steady-state mix samples (all pairs at MPL 2, LHS above).
   std::cout << "Collecting training data (simulated sampling)...\n";
   WorkloadSampler::Options sampling;
-  sampling.seed = flags.Seed();
+  sampling.seed = seed;
   WorkloadSampler sampler(&workload, machine, sampling);
   auto data = sampler.CollectAll();
   CONTENDER_CHECK(data.ok()) << data.status();
@@ -48,7 +50,7 @@ int main(int argc, char** argv) {
   const int q71 = workload.IndexOfId(71);  // I/O-bound primary
   TablePrinter table({"Mix (primary q71 with ...)", "Predicted", "Observed",
                       "Error"});
-  Rng rng(flags.Seed() + 1);
+  Rng rng(seed + 1);
   for (std::vector<int> partners :
        {std::vector<int>{workload.IndexOfId(26)},
         std::vector<int>{workload.IndexOfId(33)},  // shares all fact scans

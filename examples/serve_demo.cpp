@@ -24,11 +24,15 @@ using namespace contender::serve;
 
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
+  const uint64_t seed = flags.Seed();
+  const int target = static_cast<int>(flags.GetInt("template", 3));
+  const double drift = flags.GetDouble("drift", 1.3);
+  flags.RejectUnknown();
   Workload workload = Workload::Paper();
   sim::SimConfig machine;
 
   WorkloadSampler::Options sampling;
-  sampling.seed = flags.Seed();
+  sampling.seed = seed;
   WorkloadSampler sampler(&workload, machine, sampling);
   std::cout << "Training Contender...\n";
   auto data = sampler.CollectAll();
@@ -45,8 +49,6 @@ int main(int argc, char** argv) {
   RefitController controller(&service, &log, data->observations,
                              refit_options);
 
-  const int target = static_cast<int>(flags.GetInt("template", 3));
-  const double drift = flags.GetDouble("drift", 1.3);
   const auto v1 = service.snapshot();
   std::cout << "Serving snapshot v" << v1->version() << " ("
             << v1->num_templates() << " templates)\n\n";

@@ -36,14 +36,20 @@ std::vector<int> ParseIdList(const std::string& csv) {
 
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
+  const uint64_t seed = flags.Seed();
+  const bool list = flags.GetBool("list", false);
+  const int primary_id = static_cast<int>(flags.GetInt("primary", 71));
+  const std::string with = flags.GetString("with", "26,33");
+  const bool verify = flags.GetBool("verify", true);
+  flags.RejectUnknown();
   Workload workload = Workload::Paper();
   sim::SimConfig machine;
 
   WorkloadSampler::Options sampling;
-  sampling.seed = flags.Seed();
+  sampling.seed = seed;
   WorkloadSampler sampler(&workload, machine, sampling);
 
-  if (flags.GetBool("list", false)) {
+  if (list) {
     std::cout << "Profiling the workload (isolated runs)...\n\n";
     TablePrinter table({"Template", "Description", "Isolated", "p_t",
                         "Working set"});
@@ -60,9 +66,7 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const int primary_id = static_cast<int>(flags.GetInt("primary", 71));
-  const std::vector<int> partner_ids =
-      ParseIdList(flags.GetString("with", "26,33"));
+  const std::vector<int> partner_ids = ParseIdList(with);
   const int primary = workload.IndexOfId(primary_id);
   CONTENDER_CHECK(primary >= 0) << "unknown template q" << primary_id;
   std::vector<int> partners;
@@ -74,7 +78,7 @@ int main(int argc, char** argv) {
   CONTENDER_CHECK(!partners.empty()) << "--with must name partners";
   CONTENDER_CHECK(partners.size() <= 4) << "MPL 2-5 supported";
 
-  std::cout << "Training Contender (seed " << flags.Seed() << ")...\n";
+  std::cout << "Training Contender (seed " << seed << ")...\n";
   auto data = sampler.CollectAll();
   CONTENDER_CHECK(data.ok()) << data.status();
   auto predictor = ContenderPredictor::Train(
@@ -99,11 +103,11 @@ int main(int argc, char** argv) {
             << FormatDouble(*predicted / profile.isolated_latency, 2)
             << "x)\n";
 
-  if (flags.GetBool("verify", true)) {
+  if (verify) {
     std::vector<int> mix = {primary};
     mix.insert(mix.end(), partners.begin(), partners.end());
     SteadyStateOptions ss;
-    ss.seed = flags.Seed() + 1;
+    ss.seed = seed + 1;
     auto observed = RunSteadyState(workload, mix, machine, ss);
     CONTENDER_CHECK(observed.ok()) << observed.status();
     const double actual = observed->streams[0].mean_latency;

@@ -1,9 +1,10 @@
 // The admission policies' view of ContenderPredictor.
 //
-// A policy evaluates "template t in running mix M" for every queued
-// candidate on every slot-free event. Each probe is one dense in-mix
-// prediction (a few dozen flops for a mix of up to four partners, cheaper
-// than a memo lookup), so the oracle keeps no cache: its jobs are the
+// A policy evaluates "template t in running mix M" once per distinct
+// arrived template on every slot-free event, and the fleet router once per
+// candidate node per route. Each probe is one dense in-mix prediction (a
+// few dozen flops for a mix of up to four partners, cheaper than a memo
+// lookup), so the oracle keeps no cache: its jobs are the
 // health check, the "sched.mix_oracle.predict" fail point, the
 // isolated-latency fallback and thread-safe counters.
 

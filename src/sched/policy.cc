@@ -1,6 +1,7 @@
 #include "sched/policy.h"
 
 #include <limits>
+#include <vector>
 
 #include "util/logging.h"
 
@@ -21,6 +22,33 @@ Status ValidateContext(const RequestQueue& queue, const SchedContext& ctx,
   return Status::OK();
 }
 
+/// Per-template marks for one pick, kept by the policy so a pick
+/// allocates nothing once the buffers have grown.
+class TemplateMarks {
+ public:
+  /// Starts a pick over templates [0, num_templates) with nothing marked.
+  void Reset(int num_templates) {
+    marked_.assign(static_cast<size_t>(num_templates), false);
+    value_.resize(static_cast<size_t>(num_templates));
+  }
+
+  /// Marks template `t`; true when it was not yet marked in this pick.
+  bool Mark(int t) {
+    CONTENDER_CHECK(t >= 0 && static_cast<size_t>(t) < marked_.size())
+        << "Pick: unknown template index " << t;
+    if (marked_[static_cast<size_t>(t)]) return false;
+    marked_[static_cast<size_t>(t)] = true;
+    return true;
+  }
+
+  /// A per-template slot for a value computed in this pick.
+  double& value(int t) { return value_[static_cast<size_t>(t)]; }
+
+ private:
+  std::vector<bool> marked_;
+  std::vector<double> value_;
+};
+
 /// Shared scan over the arrived prefix: minimal score wins, strict `<` so
 /// the earliest queue position (arrival order, then request id) takes
 /// ties. ScoreFn: size_t position -> double.
@@ -38,44 +66,60 @@ size_t ArgMinScore(size_t arrived, ScoreFn&& score) {
   return best;
 }
 
+/// ArgMinScore for a score that depends only on the request's template
+/// (given the running mix): scores the first arrived request of each
+/// template and skips the rest. A skipped request ties its template's
+/// first occurrence, which is already at or above the running best (or
+/// NaN), so it could never win the strict `<`: the pick is the position
+/// the all-positions scan returns, ties, infinities and NaN included.
+/// ScoreFn: int template index -> double.
+template <typename ScoreFn>
+size_t ArgMinByTemplate(const RequestQueue& queue, size_t arrived,
+                        const SchedContext& ctx, TemplateMarks* marks,
+                        ScoreFn&& score) {
+  marks->Reset(ctx.oracle->num_templates());
+  return ArgMinScore(arrived, [&](size_t i) {
+    const int t = queue.at(i).template_index;
+    return marks->Mark(t) ? score(t)
+                          : std::numeric_limits<double>::infinity();
+  });
+}
+
 /// True when the oracle reports an open breaker for any template involved
 /// in this admission decision — the running mix or any arrived candidate.
 /// Contention-aware scores would then be built on untrusted predictions,
 /// so the contention-aware policies degrade to shortest-isolated ordering
 /// (isolated latencies come from measured profiles, not the QS models, and
-/// stay trustworthy when a model goes bad).
+/// stay trustworthy when a model goes bad). Each template is asked once.
 bool OracleReportsDegraded(const RequestQueue& queue, size_t arrived,
-                           const SchedContext& ctx) {
+                           const SchedContext& ctx, TemplateMarks* marks) {
   for (int t : *ctx.running_templates) {
     if (ctx.oracle->Degraded(t)) return true;
   }
+  marks->Reset(ctx.oracle->num_templates());
   for (size_t i = 0; i < arrived; ++i) {
-    if (ctx.oracle->Degraded(queue.at(i).template_index)) return true;
+    const int t = queue.at(i).template_index;
+    if (marks->Mark(t) && ctx.oracle->Degraded(t)) return true;
   }
   return false;
 }
 
 /// Shortest-isolated ordering, shared by the degraded paths.
 size_t PickShortestIsolated(const RequestQueue& queue, size_t arrived,
-                            const SchedContext& ctx) {
-  return ArgMinScore(arrived, [&](size_t i) {
-    return ctx.oracle->IsolatedLatency(queue.at(i).template_index).value();
+                            const SchedContext& ctx, TemplateMarks* marks) {
+  return ArgMinByTemplate(queue, arrived, ctx, marks, [&](int t) {
+    return ctx.oracle->IsolatedLatency(t).value();
   });
 }
 
-/// Predicted added completion time of admitting `r` into the live mix M:
-/// the candidate's own predicted latency inside M, plus the predicted
-/// latency inflation it inflicts on every query already running
-/// (Σ over q in M of L(q | M - q + r) - L(q | M - q)). The second term is
-/// what distinguishes contention-awareness from shortest-job-first: a
-/// short candidate that antagonizes the running mix loses to a slightly
-/// longer one that shares its scans. Every term is a mix-oracle probe.
-double GreedyScore(const Request& r, const SchedContext& ctx) {
+/// Predicted slowdown of admitting template `t` into the live mix M:
+/// L(t | M) / L_iso(t), one mix-oracle probe. A template whose scans the
+/// running mix shares slows down less than one it contends with, which is
+/// what separates this from shortest-job-first.
+double GreedyScore(int t, const SchedContext& ctx) {
   const std::vector<int>& mix = *ctx.running_templates;
-  const double in_mix =
-      ctx.oracle->PredictInMix(r.template_index, mix).value();
-  const double isolated =
-      ctx.oracle->IsolatedLatency(r.template_index).value();
+  const double in_mix = ctx.oracle->PredictInMix(t, mix).value();
+  const double isolated = ctx.oracle->IsolatedLatency(t).value();
   return in_mix / isolated;
 }
 
@@ -104,8 +148,11 @@ class ShortestIsolatedFirstPolicy : public Policy {
                         const SchedContext& ctx) override {
     size_t arrived = 0;
     CONTENDER_RETURN_IF_ERROR(ValidateContext(queue, ctx, &arrived));
-    return PickShortestIsolated(queue, arrived, ctx);
+    return PickShortestIsolated(queue, arrived, ctx, &marks_);
   }
+
+ private:
+  TemplateMarks marks_;
 };
 
 class GreedyContentionPolicy : public Policy {
@@ -118,12 +165,15 @@ class GreedyContentionPolicy : public Policy {
                         const SchedContext& ctx) override {
     size_t arrived = 0;
     CONTENDER_RETURN_IF_ERROR(ValidateContext(queue, ctx, &arrived));
-    if (OracleReportsDegraded(queue, arrived, ctx)) {
-      return PickShortestIsolated(queue, arrived, ctx);
+    if (OracleReportsDegraded(queue, arrived, ctx, &marks_)) {
+      return PickShortestIsolated(queue, arrived, ctx, &marks_);
     }
-    return ArgMinScore(
-        arrived, [&](size_t i) { return GreedyScore(queue.at(i), ctx); });
+    return ArgMinByTemplate(queue, arrived, ctx, &marks_,
+                            [&](int t) { return GreedyScore(t, ctx); });
   }
+
+ private:
+  TemplateMarks marks_;
 };
 
 class DeadlineAwarePolicy : public Policy {
@@ -136,8 +186,8 @@ class DeadlineAwarePolicy : public Policy {
                         const SchedContext& ctx) override {
     size_t arrived = 0;
     CONTENDER_RETURN_IF_ERROR(ValidateContext(queue, ctx, &arrived));
-    if (OracleReportsDegraded(queue, arrived, ctx)) {
-      return PickShortestIsolated(queue, arrived, ctx);
+    if (OracleReportsDegraded(queue, arrived, ctx, &marks_)) {
+      return PickShortestIsolated(queue, arrived, ctx, &marks_);
     }
     bool any_deadline = false;
     for (size_t i = 0; i < arrived && !any_deadline; ++i) {
@@ -145,21 +195,33 @@ class DeadlineAwarePolicy : public Policy {
     }
     if (!any_deadline) {
       // Nothing to protect: behave exactly like greedy.
-      return ArgMinScore(
-          arrived, [&](size_t i) { return GreedyScore(queue.at(i), ctx); });
+      return ArgMinByTemplate(queue, arrived, ctx, &marks_,
+                              [&](int t) { return GreedyScore(t, ctx); });
     }
     // Earliest predicted slack first; best-effort requests rank after every
-    // deadline-carrying one (infinite slack).
+    // deadline-carrying one (infinite slack). Deadlines differ per request,
+    // so every request is scored, but each template's in-mix latency is
+    // predicted once per pick.
+    marks_.Reset(ctx.oracle->num_templates());
     return ArgMinScore(arrived, [&](size_t i) {
       const Request& r = queue.at(i);
       if (!r.deadline.has_value()) {
         return std::numeric_limits<double>::infinity();
       }
-      const units::Seconds predicted =
-          ctx.oracle->PredictInMix(r.template_index, *ctx.running_templates);
-      return (*r.deadline - ctx.now - predicted).value();
+      const bool first = marks_.Mark(r.template_index);
+      double& predicted = marks_.value(r.template_index);
+      if (first) {
+        predicted = ctx.oracle
+                        ->PredictInMix(r.template_index,
+                                       *ctx.running_templates)
+                        .value();
+      }
+      return (*r.deadline - ctx.now - units::Seconds(predicted)).value();
     });
   }
+
+ private:
+  TemplateMarks marks_;
 };
 
 }  // namespace

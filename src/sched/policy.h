@@ -49,9 +49,9 @@ enum class PolicyKind {
   kFifo,
   /// Shortest predicted *isolated* latency first (contention-blind SJF).
   kShortestIsolatedFirst,
-  /// Greedy contention-aware: admit the candidate whose predicted
-  /// continuum latency in the current running mix (CQI against the live
-  /// mix) minimizes the predicted added completion time.
+  /// Greedy contention-aware: admit the candidate with the smallest
+  /// predicted slowdown L(c | running mix) / L_iso(c) (CQI against the
+  /// live mix).
   kGreedyContention,
   /// Earliest-slack-first over deadline-carrying candidates using
   /// predicted-in-mix latency; degrades to greedy when nothing in the

@@ -59,9 +59,15 @@ void RequestQueue::Push(const Request& request) {
 }
 
 size_t RequestQueue::ArrivedBy(units::Seconds t) const {
-  size_t n = 0;
-  while (n < size() && at(n).arrival_time <= t) ++n;
-  return n;
+  // Queue order sorts by arrival first, so the admissible requests are
+  // the prefix before the first arrival later than t.
+  const auto first = requests_.begin() + static_cast<std::ptrdiff_t>(head_);
+  const auto end = std::upper_bound(
+      first, requests_.end(), t,
+      [](units::Seconds time, const Request& r) {
+        return time < r.arrival_time;
+      });
+  return static_cast<size_t>(end - first);
 }
 
 units::Seconds RequestQueue::NextArrival() const {

@@ -84,7 +84,7 @@ class RequestQueue {
   }
 
   /// Number of leading requests with arrival_time <= t (the admissible
-  /// prefix at time t).
+  /// prefix at time t). O(log n).
   [[nodiscard]] size_t ArrivedBy(units::Seconds t) const;
 
   /// Earliest arrival among queued requests; queue must be non-empty.

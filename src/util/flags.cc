@@ -11,12 +11,17 @@ namespace contender {
 
 namespace {
 
-/// Exits with status 2 (bad usage), naming the flag and its value.
+/// Exits with status 2 (bad usage) after printing `message`.
+[[noreturn]] void ExitUsage(const std::string& message) {
+  std::fprintf(stderr, "%s\n", message.c_str());
+  std::exit(2);
+}
+
+/// Exits with status 2, naming the flag and its value.
 [[noreturn]] void RejectFlag(const std::string& name, const std::string& value,
                              const char* expected) {
-  std::fprintf(stderr, "invalid value '%s' for flag --%s: expected %s\n",
-               value.c_str(), name.c_str(), expected);
-  std::exit(2);
+  ExitUsage("invalid value '" + value + "' for flag --" + name +
+            ": expected " + expected);
 }
 
 /// strtoll/strtod accept leading whitespace, trailing garbage and
@@ -47,20 +52,26 @@ Flags::Flags(int argc, char** argv) {
   }
 }
 
+const std::string* Flags::Find(const std::string& name) const {
+  known_.insert(name);
+  const auto it = values_.find(name);
+  return it == values_.end() ? nullptr : &it->second;
+}
+
 bool Flags::Has(const std::string& name) const {
-  return values_.count(name) > 0;
+  return Find(name) != nullptr;
 }
 
 std::string Flags::GetString(const std::string& name,
                              const std::string& default_value) const {
-  auto it = values_.find(name);
-  return it == values_.end() ? default_value : it->second;
+  const std::string* value = Find(name);
+  return value == nullptr ? default_value : *value;
 }
 
 int64_t Flags::GetInt(const std::string& name, int64_t default_value) const {
-  auto it = values_.find(name);
-  if (it == values_.end()) return default_value;
-  const std::string& value = it->second;
+  const std::string* found = Find(name);
+  if (found == nullptr) return default_value;
+  const std::string& value = *found;
   char* end = nullptr;
   errno = 0;
   const long long parsed = std::strtoll(value.c_str(), &end, 10);
@@ -71,9 +82,9 @@ int64_t Flags::GetInt(const std::string& name, int64_t default_value) const {
 }
 
 double Flags::GetDouble(const std::string& name, double default_value) const {
-  auto it = values_.find(name);
-  if (it == values_.end()) return default_value;
-  const std::string& value = it->second;
+  const std::string* found = Find(name);
+  if (found == nullptr) return default_value;
+  const std::string& value = *found;
   char* end = nullptr;
   errno = 0;
   const double parsed = std::strtod(value.c_str(), &end);
@@ -84,9 +95,9 @@ double Flags::GetDouble(const std::string& name, double default_value) const {
 }
 
 bool Flags::GetBool(const std::string& name, bool default_value) const {
-  auto it = values_.find(name);
-  if (it == values_.end()) return default_value;
-  const std::string& value = it->second;
+  const std::string* found = Find(name);
+  if (found == nullptr) return default_value;
+  const std::string& value = *found;
   if (value == "true" || value == "1") return true;
   if (value == "false" || value == "0") return false;
   RejectFlag(name, value, "true, false, 1 or 0");
@@ -98,6 +109,14 @@ uint64_t Flags::Seed() const {
     RejectFlag("seed", values_.at("seed"), "a non-negative integer");
   }
   return static_cast<uint64_t>(seed);
+}
+
+void Flags::RejectUnknown() const {
+  for (const auto& entry : values_) {
+    if (known_.count(entry.first) == 0) {
+      ExitUsage("unknown flag --" + entry.first);
+    }
+  }
 }
 
 }  // namespace contender

@@ -220,5 +220,33 @@ TEST(RequestQueueTest, InterleavedTakesAndPushesMatchAVector) {
   EXPECT_TRUE(queue.empty());
 }
 
+TEST(RequestQueueTest, ArrivedByMatchesALinearCountAfterTakesAndPushes) {
+  // Arrivals on a 0.5 s grid over a short window, so many requests share
+  // an arrival instant; probes land on, between and outside the grid.
+  auto linear = [](const RequestQueue& queue, units::Seconds t) {
+    size_t n = 0;
+    while (n < queue.size() && queue.at(n).arrival_time <= t) ++n;
+    return n;
+  };
+  std::vector<Request> initial;
+  for (int id = 0; id < 30; ++id) {
+    initial.push_back(MakeRequest(id, 0.5 * static_cast<double>(id % 7)));
+  }
+  RequestQueue queue(initial);
+  int next_id = 30;
+  for (size_t step = 0; !queue.empty(); ++step) {
+    for (double t = -0.5; t <= 4.0; t += 0.25) {
+      ASSERT_EQ(queue.ArrivedBy(units::Seconds(t)),
+                linear(queue, units::Seconds(t)))
+          << "step " << step << ", t = " << t;
+    }
+    (void)queue.Take((step * 3) % queue.size());
+    if (step % 2 == 0 && next_id < 60) {
+      queue.Push(MakeRequest(next_id++, 0.5 * static_cast<double>(step % 5)));
+    }
+  }
+  EXPECT_EQ(queue.ArrivedBy(units::Seconds(100.0)), 0u);
+}
+
 }  // namespace
 }  // namespace contender::sched

@@ -120,5 +120,36 @@ TEST(FlagsTest, SeedAcceptsZeroAndLargeValues) {
             uint64_t{9223372036854775807u});
 }
 
+TEST(FlagsDeathTest, MisspeltFlagExitsNamingIt) {
+  Flags f = MakeFlags({"--sed=7"});
+  EXPECT_EQ(f.Seed(), 42u);
+  EXPECT_EXIT(f.RejectUnknown(), ::testing::ExitedWithCode(2),
+              "unknown flag --sed");
+}
+
+TEST(FlagsDeathTest, UnknownBooleanAndSpaceSyntaxFlagsAreRejected) {
+  EXPECT_EXIT(MakeFlags({"--verbose"}).RejectUnknown(),
+              ::testing::ExitedWithCode(2), "unknown flag --verbose");
+  EXPECT_EXIT(MakeFlags({"--no-check"}).RejectUnknown(),
+              ::testing::ExitedWithCode(2), "unknown flag --check");
+  EXPECT_EXIT(MakeFlags({"--requests", "9"}).RejectUnknown(),
+              ::testing::ExitedWithCode(2), "unknown flag --requests");
+}
+
+TEST(FlagsTest, EveryLookupMarksItsFlagKnown) {
+  Flags f = MakeFlags({"--seed=7", "--name=a", "--n=3", "--x=0.5", "--b",
+                       "--h=1", "positional"});
+  EXPECT_EQ(f.Seed(), 7u);
+  EXPECT_EQ(f.GetString("name", ""), "a");
+  EXPECT_EQ(f.GetInt("n", 0), 3);
+  EXPECT_DOUBLE_EQ(f.GetDouble("x", 0.0), 0.5);
+  EXPECT_TRUE(f.GetBool("b", false));
+  EXPECT_TRUE(f.Has("h"));
+  // Lookups of absent flags are fine too; nothing is left unknown.
+  EXPECT_EQ(f.GetInt("absent", 5), 5);
+  f.RejectUnknown();
+  MakeFlags({}).RejectUnknown();
+}
+
 }  // namespace
 }  // namespace contender
