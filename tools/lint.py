@@ -23,6 +23,7 @@ allowlist in this script — a new suppression without an allowlist entry
 """
 
 import argparse
+import json
 import os
 import re
 import sys
@@ -74,6 +75,8 @@ NTSA_RE = re.compile(r"\bNO_THREAD_SAFETY_ANALYSIS\b")
 # The one file allowed to touch the std primitives (it wraps them).
 MUTEX_WRAPPER_FILE = os.path.join("src", "util", "mutex.h")
 ANNOTATIONS_FILE = os.path.join("src", "util", "thread_annotations.h")
+# The committed per-change perf record (rule perf-trajectory).
+TRAJECTORY_FILE = os.path.join("bench", "results", "trajectory.jsonl")
 
 # Suppression budget (rule suppression-budget): every TSA/lint suppression
 # in src/ must appear here with an exact expected count and a one-line
@@ -535,6 +538,62 @@ def check_suppression_budget(root, budget=None):
     return findings
 
 
+def _trajectory_line_error(text, workloads, metrics):
+    """What is wrong with one trajectory line, or None."""
+    try:
+        entry = json.loads(text)
+    except ValueError as e:
+        return f"not JSON: {e}"
+    if not isinstance(entry, dict):
+        return "not a JSON object"
+    for key, minimum in (("seed", 0), ("pairs", 1), ("nproc", 1)):
+        value = entry.get(key)
+        if not isinstance(value, int) or isinstance(value, bool) or \
+                value < minimum:
+            return f'"{key}" must be an integer >= {minimum}'
+    measured = entry.get("workloads")
+    if not isinstance(measured, dict) or sorted(measured) != workloads:
+        return f'"workloads" must name exactly {workloads}'
+    for name in workloads:
+        for side in ("parent", "change"):
+            medians = measured[name].get(side) \
+                if isinstance(measured[name], dict) else None
+            for metric in metrics:
+                value = medians.get(metric) \
+                    if isinstance(medians, dict) else None
+                if not isinstance(value, (int, float)) or \
+                        isinstance(value, bool) or not value >= 0:
+                    return (f"{name}: {side} median of {metric} must be a "
+                            "non-negative number")
+    return None
+
+
+def check_perf_trajectory(root):
+    """Every line of the perf trajectory parses and carries parent and
+    change medians of every BENCHMARK.json end-to-end metric on every one
+    of its workloads."""
+    benchmark_path = os.path.join(root, "BENCHMARK.json")
+    if not os.path.isfile(benchmark_path):
+        return []
+    with open(benchmark_path, encoding="utf-8") as f:
+        benchmark = json.load(f)
+    workloads = sorted(w["name"] for w in benchmark["workloads"])
+    metrics = [m["name"] for m in benchmark["end_to_end"]]
+    path = os.path.join(root, TRAJECTORY_FILE)
+    if not os.path.isfile(path):
+        return [Finding("perf-trajectory", TRAJECTORY_FILE, 1,
+                        "missing: the committed perf trajectory")]
+    findings = []
+    for i, text in enumerate(read_lines(path), 1):
+        if not text.strip():
+            continue
+        error = _trajectory_line_error(text, workloads, metrics)
+        if error:
+            findings.append(Finding("perf-trajectory", TRAJECTORY_FILE, i,
+                                    error))
+    return findings
+
+
 # ---------------------------------------------------------------------------
 # The rule table: the single source of truth for documentation, checks,
 # and self-test coverage. Each entry:
@@ -886,6 +945,33 @@ RULES = (
             os.path.join("src", "core", "good_guard.h"):
                 {"lock-free": (1, "self-test fixture")},
         }},
+    ),
+    Rule(
+        "perf-trajectory",
+        "Every line of bench/results/trajectory.jsonl (one per measured "
+        "change) is a JSON object with an integer seed, pairs and nproc, "
+        "and parent and change medians of every BENCHMARK.json end-to-end "
+        "metric for exactly the BENCHMARK.json workloads, so the committed "
+        "perf record stays machine-readable as the benchmark grows.",
+        check_perf_trajectory,
+        {
+            "BENCHMARK.json": json.dumps({
+                "workloads": [{"name": "a"}, {"name": "b"}],
+                "end_to_end": [{"name": "pass_s"}]}),
+            # Line 1 is well formed; line 2 lacks workload b.
+            TRAJECTORY_FILE.replace(os.sep, "/"):
+                json.dumps({"seed": 42, "pairs": 10, "nproc": 4,
+                            "workloads": {
+                                w: {"parent": {"pass_s": 1.0},
+                                    "change": {"pass_s": 0.5}}
+                                for w in ("a", "b")}}) + "\n" +
+                json.dumps({"seed": 42, "pairs": 10, "nproc": 4,
+                            "workloads": {
+                                "a": {"parent": {"pass_s": 1.0},
+                                      "change": {"pass_s": 0.5}}}}) + "\n",
+        },
+        [TRAJECTORY_FILE.replace(os.sep, "/")],
+        [],
     ),
 )
 
