@@ -78,6 +78,15 @@ void Router::Advance(NodeState* node, units::Seconds now) {
     if (!node->backlog.empty()) {
       const sched::Request next = node->backlog.front();
       node->backlog.pop_front();
+      // Compact the consumed prefix once it is half the array: O(1)
+      // amortized per pop.
+      if (++node->isolated_head * 2 >= node->backlog_isolated.size()) {
+        node->backlog_isolated.erase(
+            node->backlog_isolated.begin(),
+            node->backlog_isolated.begin() +
+                static_cast<std::ptrdiff_t>(node->isolated_head));
+        node->isolated_head = 0;
+      }
       // The promoted query was backlogged at its arrival (<= freed), so
       // its predicted start is the slot-free instant.
       Place(node, next, freed);
@@ -103,6 +112,8 @@ void Router::Place(NodeState* node, const sched::Request& request,
     return;
   }
   node->backlog.push_back(request);
+  node->backlog_isolated.push_back(
+      isolated_[static_cast<size_t>(request.template_index)]);
 }
 
 double Router::PredictedWait(const NodeState& node,
@@ -118,17 +129,47 @@ double Router::PredictedWait(const NodeState& node,
   // that keeps deep backlogs from looking cheap) and frees again that much
   // later. Equal minima hold equal values, so which one is taken never
   // changes the slot values. O(mpl · backlog) per node.
-  std::vector<double>& slots = slots_;
-  slots.clear();
-  for (const PredictedQuery& q : node.running) {
-    slots.push_back(std::max(0.0, (q.completion - now).value()));
+  //
+  // The replay is latency-bound on the running minimum, so up to MPL 3
+  // (every bench's default) the slots live in locals; an absent slot reads
+  // +inf and is never the minimum. The kernel takes the first strictly
+  // smallest slot, as the generic scan below does.
+  const size_t mpl = node.running.size();
+  auto remaining = [&](size_t i) {
+    return std::max(0.0, (node.running[i].completion - now).value());
+  };
+  const double* const first =
+      node.backlog_isolated.data() + node.isolated_head;
+  const double* const last =
+      node.backlog_isolated.data() + node.backlog_isolated.size();
+  if (mpl <= 3) {
+    constexpr double kAbsent = std::numeric_limits<double>::infinity();
+    double a = remaining(0);
+    double b = mpl > 1 ? remaining(1) : kAbsent;
+    double c = mpl > 2 ? remaining(2) : kAbsent;
+    for (const double* x = first; x != last; ++x) {
+      if (b < a) {
+        if (c < b) {
+          c += *x;
+        } else {
+          b += *x;
+        }
+      } else if (c < a) {
+        c += *x;
+      } else {
+        a += *x;
+      }
+    }
+    return std::min(a, std::min(b, c));
   }
-  for (const sched::Request& r : node.backlog) {
+  std::vector<double> slots(mpl);
+  for (size_t i = 0; i < mpl; ++i) slots[i] = remaining(i);
+  for (const double* x = first; x != last; ++x) {
     size_t earliest = 0;
-    for (size_t i = 1; i < slots.size(); ++i) {
+    for (size_t i = 1; i < mpl; ++i) {
       if (slots[i] < slots[earliest]) earliest = i;
     }
-    slots[earliest] += isolated_[static_cast<size_t>(r.template_index)];
+    slots[earliest] += *x;
   }
   return *std::min_element(slots.begin(), slots.end());
 }
@@ -358,6 +399,8 @@ Status Router::BeginDrain(int node, units::Seconds now) {
   // request is scored against freshly replayed waits.
   std::deque<sched::Request> displaced;
   displaced.swap(draining.backlog);
+  draining.backlog_isolated.clear();
+  draining.isolated_head = 0;
   for (const sched::Request& r : displaced) {
     bool degraded = false;
     const std::vector<int> healthy = HealthyNodes();

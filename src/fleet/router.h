@@ -176,6 +176,10 @@ class Router {
   struct NodeState {
     std::vector<PredictedQuery> running;  // size <= target_mpl
     std::deque<sched::Request> backlog;   // FIFO, predicted-waiting
+    /// Isolated latency of each backlogged request, in backlog order from
+    /// `isolated_head` on: the flat array PredictedWait replays.
+    std::vector<double> backlog_isolated;
+    size_t isolated_head = 0;
     bool draining = false;
   };
 
@@ -225,8 +229,6 @@ class Router {
   /// oracle: the backlog replay charges one per backlogged request.
   std::vector<double> isolated_;
   std::vector<NodeState> nodes_;
-  /// PredictedWait's scratch: the replay's slot-free instants.
-  mutable std::vector<double> slots_;
   std::vector<Assignment> assignments_;
   RouterStats stats_;
   overload::DoorController door_;

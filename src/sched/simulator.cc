@@ -38,19 +38,15 @@ StatusOr<ScheduleResult> ScheduleSimulator::Run(
     }
   }
 
-  // Draw every query instance up front, in request-id order: the executed
-  // workload is identical for every policy (and for repeated runs with the
-  // same seed), so schedules are compared on ordering alone.
+  // Draw every request's instance parameters up front, in request-id
+  // order: the executed workload is identical for every policy (and for
+  // repeated runs with the same seed), so schedules are compared on
+  // ordering alone. Plans are compiled only at admission and the engine
+  // frees each one at completion, so the run holds O(MPL) plans.
   Rng rng(options.seed);
   const uint64_t engine_seed = rng.Next();
-  std::vector<int> template_by_id(n, -1);
-  for (const Request& r : requests) {
-    template_by_id[static_cast<size_t>(r.request_id)] = r.template_index;
-  }
-  std::vector<sim::QuerySpec> specs(n);
-  for (size_t id = 0; id < n; ++id) {
-    specs[id] = workload_->Instantiate(template_by_id[id], &rng);
-  }
+  std::vector<InstanceParams> params(n);
+  for (InstanceParams& p : params) p = Workload::DrawParams(&rng);
 
   sim::Engine engine(config_, engine_seed);
   RequestQueue queue(requests);
@@ -106,8 +102,10 @@ StatusOr<ScheduleResult> ScheduleSimulator::Run(
       out.queue_wait = t - r.arrival_time;
       out.predicted_latency = oracle->PredictInMix(r.template_index, running);
       out.mix_size_at_admission = static_cast<int>(running.size());
-      const int pid =
-          engine.AddProcess(specs[static_cast<size_t>(r.request_id)], t);
+      const int pid = engine.AddProcess(
+          workload_->Instantiate(
+              r.template_index, params[static_cast<size_t>(r.request_id)]),
+          t);
       if (static_cast<size_t>(pid) >= pid_to_request.size()) {
         pid_to_request.resize(static_cast<size_t>(pid) + 1, -1);
       }

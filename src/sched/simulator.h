@@ -3,8 +3,10 @@
 // every completion callback re-enters the policy. The simulator holds a
 // target MPL, records per-request queue wait / latency / deadline outcome
 // and the prediction each admission was based on, and is bit-exactly
-// deterministic under a fixed seed (query instances are drawn once, in
-// request-id order, so every policy executes the identical workload).
+// deterministic under a fixed seed (instance parameters are drawn once, in
+// request-id order, so every policy executes the identical workload; each
+// plan is compiled from its parameters at admission and released at
+// completion, so a run holds only its running queries' plans).
 
 #ifndef CONTENDER_SCHED_SIMULATOR_H_
 #define CONTENDER_SCHED_SIMULATOR_H_

@@ -25,24 +25,25 @@ Engine::Engine(const SimConfig& config, uint64_t seed)
           std::max(0.0, config.ram_bytes - config.os_reserved_bytes) *
           config.buffer_pool_fraction) {}
 
-int Engine::AddProcess(const QuerySpec& spec, units::Seconds start) {
+int Engine::AddProcess(QuerySpec spec, units::Seconds start) {
   const double start_time = start.value();
   CONTENDER_CHECK(start_time >= now_ - kEps)
       << "process scheduled in the past";
   Process p;
-  p.spec = spec;
-  if (!spec.immortal && config_.startup_cpu_seconds > 0.0) {
+  p.spec = std::move(spec);
+  const bool immortal = p.spec.immortal;
+  if (!immortal && config_.startup_cpu_seconds > 0.0) {
     Phase startup;
     startup.cpu_seconds = config_.startup_cpu_seconds;
     p.spec.phases.insert(p.spec.phases.begin(), startup);
   }
   const int id = static_cast<int>(processes_.size());
   p.result.process_id = id;
-  p.result.template_id = spec.template_id;
-  p.result.name = spec.name;
+  p.result.template_id = p.spec.template_id;
+  p.result.name = p.spec.name;
   p.result.start_time = start_time;
   processes_.push_back(std::move(p));
-  if (!spec.immortal) ++live_mortal_;
+  if (!immortal) ++live_mortal_;
   // Deterministic tie-break on equal start times: insertion order.
   pending_.emplace_back(start_time, id);
   std::push_heap(pending_.begin(), pending_.end(), PendingOrder());
@@ -238,6 +239,9 @@ void Engine::CompleteProcess(Process* p) {
   p->phase_ready = false;
   p->result.end_time = now_;
   p->result.completed = true;
+  // Nothing reads the plan after its last phase: free it, so finished
+  // processes cost only their accounting.
+  std::vector<Phase>().swap(p->spec.phases);
   if (p->spec.pinned_memory_bytes > 0.0) {
     // Release the (possibly clipped) pin. We pinned min(requested, available)
     // at arrival; to stay conservative release the same recomputation is not

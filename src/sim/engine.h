@@ -18,6 +18,12 @@
 // kept in ascending id order) plus the arrival heap, so it costs
 // O(active + log pending) however many processes have finished; a run
 // over n queries is linear in n at bounded concurrency.
+//
+// Memory: the engine owns each added spec and frees its phase list when
+// the process completes, so plans are held only for pending and active
+// processes. A finished process keeps its ProcessResult (and a
+// phase-less spec header) for the engine's lifetime, so result(id) stays
+// valid for every id ever added.
 
 #ifndef CONTENDER_SIM_ENGINE_H_
 #define CONTENDER_SIM_ENGINE_H_
@@ -52,9 +58,11 @@ class Engine {
   Engine(const SimConfig& config, uint64_t seed);
 
   /// Schedules a query to start at `start_time` (>= now). Returns the
-  /// process id. The engine prepends the per-query startup CPU cost for
-  /// mortal processes.
-  int AddProcess(const QuerySpec& spec, units::Seconds start_time);
+  /// process id. The engine takes the spec (move it in to skip a copy),
+  /// prepends the per-query startup CPU cost for mortal processes, and
+  /// frees the phases at completion: a finished process keeps only its
+  /// ProcessResult.
+  int AddProcess(QuerySpec spec, units::Seconds start_time);
 
   void SetCompletionCallback(CompletionCallback cb) {
     completion_callback_ = std::move(cb);

@@ -31,16 +31,10 @@ InstanceParams Workload::DrawParams(Rng* rng) {
   return p;
 }
 
-sim::QuerySpec Workload::Instantiate(int index, Rng* rng) const {
+sim::QuerySpec Workload::Instantiate(int index,
+                                     const InstanceParams& params) const {
   const QueryTemplate& t = templates_[static_cast<size_t>(index)];
-  InstanceParams params = DrawParams(rng);
   return CompilePlan(t.build(catalog_), catalog_, params, t.name, t.id);
-}
-
-sim::QuerySpec Workload::InstantiateNominal(int index) const {
-  const QueryTemplate& t = templates_[static_cast<size_t>(index)];
-  return CompilePlan(t.build(catalog_), catalog_, InstanceParams{}, t.name,
-                     t.id);
 }
 
 }  // namespace contender

@@ -36,13 +36,24 @@ class Workload {
   /// The nominal (optimizer-estimate) plan for a template.
   PlanNode NominalPlan(int index) const;
 
-  /// Compiles an instance with randomly drawn predicate parameters.
-  sim::QuerySpec Instantiate(int index, Rng* rng) const;
+  /// Compiles an instance of a template with the given predicate
+  /// parameters; the one path from a template to an executable plan.
+  sim::QuerySpec Instantiate(int index, const InstanceParams& params) const;
+
+  /// Compiles an instance with randomly drawn predicate parameters:
+  /// Instantiate(index, DrawParams(rng)).
+  sim::QuerySpec Instantiate(int index, Rng* rng) const {
+    return Instantiate(index, DrawParams(rng));
+  }
 
   /// Compiles the nominal instance (parameters at their expected values).
-  sim::QuerySpec InstantiateNominal(int index) const;
+  sim::QuerySpec InstantiateNominal(int index) const {
+    return Instantiate(index, InstanceParams{});
+  }
 
-  /// Draws the per-instance parameters (exposed for testing).
+  /// Draws the per-instance parameters. Drawing them apart from the
+  /// compile lets a caller fix an instance early (16 bytes) and compile
+  /// its plan only when it runs.
   static InstanceParams DrawParams(Rng* rng);
 
  private:

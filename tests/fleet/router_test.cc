@@ -26,6 +26,8 @@ class RouterPeer {
     Router::NodeState& node = router->nodes_[static_cast<size_t>(n)];
     node.running.clear();
     node.backlog.clear();
+    node.backlog_isolated.clear();
+    node.isolated_head = 0;
     for (size_t i = 0; i < completions.size(); ++i) {
       Router::PredictedQuery q;
       q.completion = units::Seconds(completions[i]);
@@ -37,7 +39,29 @@ class RouterPeer {
       sched::Request r;
       r.template_index = t;
       node.backlog.push_back(r);
+      node.backlog_isolated.push_back(
+          router->isolated_[static_cast<size_t>(t)]);
     }
+  }
+
+  /// True when every node's flat isolated-latency array holds exactly the
+  /// isolated latency of each backlogged request, in backlog order.
+  static bool IsolatedInStepWithBacklog(const Router& router) {
+    for (const Router::NodeState& node : router.nodes_) {
+      if (node.isolated_head > node.backlog_isolated.size() ||
+          node.backlog_isolated.size() - node.isolated_head !=
+              node.backlog.size()) {
+        return false;
+      }
+      for (size_t i = 0; i < node.backlog.size(); ++i) {
+        const int t = node.backlog[i].template_index;
+        if (node.backlog_isolated[node.isolated_head + i] !=
+            router.isolated_[static_cast<size_t>(t)]) {
+          return false;
+        }
+      }
+    }
+    return true;
   }
 
   static double PredictedWait(const Router& router, int n,
@@ -195,6 +219,34 @@ TEST(RouterTest, DrainFailsOverPredictedBacklog) {
   EXPECT_EQ(router.BeginDrain(1, units::Seconds(3.0)).code(),
             StatusCode::kFailedPrecondition);
   EXPECT_FALSE(router.BeginDrain(7, units::Seconds(3.0)).ok());
+}
+
+TEST(RouterTest, BacklogIsolatedArrayTracksPlaceAdvanceAndDrain) {
+  sched::MixOracle oracle(&SharedPredictor());
+  const int num_templates = oracle.num_templates();
+  RouterOptions options;
+  options.num_nodes = 3;
+  options.target_mpl = 2;
+  Router router(&oracle, options);
+  Rng rng(17);
+  // Bursts of simultaneous arrivals build backlogs; the gaps between them
+  // let Advance promote (and compact) backlog heads; two drains clear a
+  // node's backlog and re-place it elsewhere.
+  double now = 0.0;
+  for (int id = 0; id < 600; ++id) {
+    if (id % 40 == 0) now += 30.0;
+    const int t = static_cast<int>(rng.UniformInt(0, num_templates - 1));
+    ASSERT_TRUE(router.Route(MakeRequest(id, t, now)).ok());
+    ASSERT_TRUE(RouterPeer::IsolatedInStepWithBacklog(router)) << "id " << id;
+    if (id == 250 || id == 450) {
+      ASSERT_TRUE(router.BeginDrain(id == 250 ? 0 : 1,
+                                    units::Seconds(now)).ok());
+      ASSERT_TRUE(RouterPeer::IsolatedInStepWithBacklog(router));
+    }
+  }
+  EXPECT_EQ(router.stats().drains.size(), 2u);
+  EXPECT_GT(router.stats().failovers, 0u);
+  EXPECT_GT(router.Outstanding(2), options.target_mpl);
 }
 
 TEST(RouterTest, DegradedTemplateDescendsTheLadder) {

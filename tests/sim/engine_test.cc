@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -364,6 +365,76 @@ TEST(EngineTest, ZeroDemandCompletionsCanChainProcesses) {
   }
   // Empty processes take no disk share: the anchor scans alone.
   EXPECT_NEAR(engine.result(anchor).latency().value(), 1.0, 1e-6);
+}
+
+void ExpectSameResult(const ProcessResult& a, const ProcessResult& b) {
+  EXPECT_EQ(a.process_id, b.process_id);
+  EXPECT_EQ(a.template_id, b.template_id) << a.process_id;
+  EXPECT_EQ(a.name, b.name) << a.process_id;
+  EXPECT_EQ(a.start_time, b.start_time) << a.process_id;
+  EXPECT_EQ(a.end_time, b.end_time) << a.process_id;
+  EXPECT_EQ(a.completed, b.completed) << a.process_id;
+  EXPECT_EQ(a.io_busy_seconds, b.io_busy_seconds) << a.process_id;
+  EXPECT_EQ(a.cpu_busy_seconds, b.cpu_busy_seconds) << a.process_id;
+  EXPECT_EQ(a.disk_bytes_read, b.disk_bytes_read) << a.process_id;
+  EXPECT_EQ(a.bytes_saved_by_cache, b.bytes_saved_by_cache) << a.process_id;
+  EXPECT_EQ(a.bytes_saved_by_shared_scan, b.bytes_saved_by_shared_scan)
+      << a.process_id;
+  EXPECT_EQ(a.max_memory_granted, b.max_memory_granted) << a.process_id;
+  EXPECT_EQ(a.spill_bytes, b.spill_bytes) << a.process_id;
+}
+
+TEST(EngineTest, ResultsOutliveTheReleasedPlans) {
+  // The engine frees a plan when its process completes. Every result must
+  // still read back exactly as the completion callback saw it, for specs
+  // copied in and specs moved in, while callbacks chain zero-demand
+  // queries (completing inside the step that starts them) and scans.
+  SimConfig cfg = QuietConfig();
+  cfg.random_io_sigma = 0.3;
+  cfg.cpu_jitter = 0.05;
+  Engine engine(cfg, 3);
+  QuerySpec empty;
+  empty.name = "empty";
+  QuerySpec probe;
+  probe.name = "probe";
+  probe.template_id = 7;
+  Phase p;
+  p.rnd_io_bytes = 1.0 * kMB;
+  p.cpu_seconds = 0.1;
+  p.mem_demand_bytes = 16.0 * kMB;
+  p.spillable = true;
+  probe.phases = {p, p};
+  constexpr int kMaxProcesses = 400;
+  std::vector<ProcessResult> seen;
+  engine.SetCompletionCallback([&](const ProcessResult& r) {
+    if (seen.size() <= static_cast<size_t>(r.process_id)) {
+      seen.resize(static_cast<size_t>(r.process_id) + 1);
+    }
+    seen[static_cast<size_t>(r.process_id)] = r;
+    // Copy before AddProcess: the callback's reference dies with it.
+    const int pid = r.process_id;
+    const double end = r.end_time;
+    if (engine.num_processes() >= kMaxProcesses) return;
+    engine.AddProcess(empty, units::Seconds(end));  // copied in
+    engine.AddProcess(QuerySpec(probe), units::Seconds(end));  // moved in
+    if (pid % 3 == 0) {
+      engine.AddProcess(ScanQuery("scan", 0, 10.0 * kMB),
+                        units::Seconds(end + 0.25));
+    }
+  });
+  for (int i = 0; i < 4; ++i) engine.AddProcess(empty, units::Seconds(0.0));
+  engine.AddProcess(probe, units::Seconds(0.0));
+  ASSERT_TRUE(engine.Run().ok());
+
+  ASSERT_GE(engine.num_processes(), static_cast<size_t>(kMaxProcesses));
+  ASSERT_EQ(seen.size(), engine.num_processes());
+  for (size_t id = 0; id < seen.size(); ++id) {
+    ASSERT_TRUE(seen[id].completed) << "process " << id;
+    ExpectSameResult(seen[id], engine.result(static_cast<int>(id)));
+  }
+  // Specs passed as lvalues are copied, never consumed.
+  EXPECT_EQ(probe.name, "probe");
+  EXPECT_EQ(probe.phases.size(), 2u);
 }
 
 TEST(EngineTest, LongHorizonChainedQueriesKeepProgressing) {

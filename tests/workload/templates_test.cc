@@ -143,6 +143,40 @@ TEST(TemplatesTest, InstanceJitterProducesModestLatencyVariance) {
   EXPECT_LT(cv, 0.12);
 }
 
+TEST(TemplatesTest, InstantiateWithDrawnParamsMatchesTheRngOverload) {
+  // Callers that draw parameters early and compile late (the schedule
+  // simulator) must execute exactly what drawing and compiling at once
+  // yields, and consume the same random stream.
+  const Workload& w = PaperWorkload();
+  Rng rng(11);
+  Rng rng2(11);
+  for (int i = 0; i < w.size(); ++i) {
+    for (int draw = 0; draw < 200; ++draw) {
+      const sim::QuerySpec a = w.Instantiate(i, &rng);
+      const sim::QuerySpec b = w.Instantiate(i, Workload::DrawParams(&rng2));
+      ASSERT_EQ(a.name, b.name);
+      ASSERT_EQ(a.template_id, b.template_id);
+      ASSERT_EQ(a.immortal, b.immortal);
+      ASSERT_EQ(a.pinned_memory_bytes, b.pinned_memory_bytes);
+      ASSERT_EQ(a.phases.size(), b.phases.size()) << w.tmpl(i).name;
+      for (size_t k = 0; k < a.phases.size(); ++k) {
+        const sim::Phase& x = a.phases[k];
+        const sim::Phase& y = b.phases[k];
+        ASSERT_EQ(x.seq_io_bytes, y.seq_io_bytes) << w.tmpl(i).name << k;
+        ASSERT_EQ(x.rnd_io_bytes, y.rnd_io_bytes) << w.tmpl(i).name << k;
+        ASSERT_EQ(x.cpu_seconds, y.cpu_seconds) << w.tmpl(i).name << k;
+        ASSERT_EQ(x.table, y.table) << w.tmpl(i).name << k;
+        ASSERT_EQ(x.table_bytes, y.table_bytes) << w.tmpl(i).name << k;
+        ASSERT_EQ(x.cacheable, y.cacheable) << w.tmpl(i).name << k;
+        ASSERT_EQ(x.mem_demand_bytes, y.mem_demand_bytes)
+            << w.tmpl(i).name << k;
+        ASSERT_EQ(x.spillable, y.spillable) << w.tmpl(i).name << k;
+      }
+    }
+  }
+  for (int k = 0; k < 4; ++k) EXPECT_EQ(rng.Next(), rng2.Next());
+}
+
 TEST(TemplatesTest, TemplatesTouchOneToThreeFactTables) {
   // §6.1: "individual templates access between one and three fact tables."
   const Workload& w = PaperWorkload();
