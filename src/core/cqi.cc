@@ -5,11 +5,12 @@
 
 namespace contender {
 
-CqiTable::CqiTable(std::span<const TemplateProfile* const> templates,
-                   const ScanTimes& scan_times, size_t num_primaries) {
+CqiTable::CqiTable(std::span<const TemplateProfile* const> primaries,
+                   std::span<const TemplateProfile* const> partners,
+                   const ScanTimes& scan_times) {
   size_t num_facts = 0;
-  for (const TemplateProfile* t : templates) {
-    num_facts += t->fact_tables.size();
+  for (const TemplateProfile* c : partners) {
+    num_facts += c->fact_tables.size();
   }
   std::vector<sim::TableId> tables;  // distinct fact tables, first seen first
   tables.reserve(num_facts);
@@ -18,22 +19,22 @@ CqiTable::CqiTable(std::span<const TemplateProfile* const> templates,
     if (it == tables.end()) it = tables.insert(it, f);
     return static_cast<size_t>(it - tables.begin());
   };
-  templates_.reserve(templates.size());
-  for (const TemplateProfile* t : templates) {
-    templates_.push_back({t->isolated_latency, t->io_seconds()});
-    for (sim::TableId f : t->fact_tables) dense(f);
+  partners_.reserve(partners.size());
+  for (const TemplateProfile* c : partners) {
+    partners_.push_back({c->isolated_latency, c->io_seconds()});
+    for (sim::TableId f : c->fact_tables) dense(f);
   }
   num_tables_ = tables.size();
-  scans_.assign(templates.size() * num_tables_, 0);
-  for (size_t t = 0; t < templates.size(); ++t) {
-    for (sim::TableId f : templates[t]->fact_tables) {
-      scans_[t * num_tables_ + dense(f)] = 1;
+  scans_.assign(partners.size() * num_tables_, 0);
+  for (size_t c = 0; c < partners.size(); ++c) {
+    for (sim::TableId f : partners[c]->fact_tables) {
+      scans_[c * num_tables_ + dense(f)] = 1;
     }
   }
-  pairs_.reserve(num_primaries * templates.size());
-  candidates_.reserve(num_primaries * num_facts);
-  for (const TemplateProfile* p : templates.first(num_primaries)) {
-    for (const TemplateProfile* c : templates) {
+  pairs_.reserve(primaries.size() * partners.size());
+  candidates_.reserve(primaries.size() * num_facts);
+  for (const TemplateProfile* p : primaries) {
+    for (const TemplateProfile* c : partners) {
       Pair pair{units::Seconds(), candidates_.size(), 0};
       for (sim::TableId f : c->fact_tables) {
         auto scan = scan_times.find(f);
@@ -56,7 +57,10 @@ Status CqiTable::CheckPartners(std::span<const int> partners) const {
     return Status::InvalidArgument("CQI: empty concurrent set");
   }
   for (int c : partners) {
-    if (templates_[static_cast<size_t>(c)].isolated_latency.value() <= 0.0) {
+    if (c < 0 || static_cast<size_t>(c) >= partners_.size()) {
+      return Status::InvalidArgument("CQI: bad partner index");
+    }
+    if (partners_[static_cast<size_t>(c)].isolated_latency.value() <= 0.0) {
       return Status::FailedPrecondition("CQI: non-positive isolated latency");
     }
   }
@@ -67,10 +71,10 @@ CqiTerms CqiTable::Terms(int primary, std::span<const int> partners,
                          size_t position, CqiVariant variant) const {
   const size_t c = static_cast<size_t>(partners[position]);
   const Pair& pair =
-      pairs_[static_cast<size_t>(primary) * templates_.size() + c];
+      pairs_[static_cast<size_t>(primary) * partners_.size() + c];
 
   CqiTerms terms;
-  terms.total_io_seconds = templates_[c].io_seconds;
+  terms.total_io_seconds = partners_[c].io_seconds;
   if (variant != CqiVariant::kBaselineIo) terms.omega = pair.omega;
   if (variant == CqiVariant::kFull) {
     // τ_c (Eq. 3): scans shared among the non-primary queries only; h_f
@@ -89,7 +93,7 @@ CqiTerms CqiTable::Terms(int primary, std::span<const int> partners,
   // Eq. 4, truncated at zero.
   terms.r =
       std::max(0.0, (terms.total_io_seconds - terms.omega - terms.tau) /
-                        templates_[c].isolated_latency);  // a ratio
+                        partners_[c].isolated_latency);  // a ratio
   return terms;
 }
 
@@ -101,20 +105,6 @@ units::Cqi CqiTable::Cqi(int primary, std::span<const int> partners,
   }
   // Eq. 5: average competing fraction across the concurrent queries.
   return units::Cqi(sum / static_cast<double>(partners.size()));
-}
-
-StatusOr<units::Cqi> ComputeCqiFor(
-    const TemplateProfile& primary,
-    const std::vector<const TemplateProfile*>& concurrent,
-    const ScanTimes& scan_times, CqiVariant variant) {
-  // The primary at position 0, the concurrent queries at 1..n.
-  std::vector<const TemplateProfile*> mix = {&primary};
-  mix.insert(mix.end(), concurrent.begin(), concurrent.end());
-  std::vector<int> partners(concurrent.size());
-  std::iota(partners.begin(), partners.end(), 1);
-  const CqiTable table(mix, scan_times, /*num_primaries=*/1);
-  CONTENDER_RETURN_IF_ERROR(table.CheckPartners(partners));
-  return table.Cqi(0, partners, variant);
 }
 
 StatusOr<units::Cqi> ComputeCqi(const std::vector<TemplateProfile>& profiles,
@@ -134,8 +124,14 @@ StatusOr<units::Cqi> ComputeCqi(const std::vector<TemplateProfile>& profiles,
     }
     concurrent.push_back(&profiles[static_cast<size_t>(c)]);
   }
-  return ComputeCqiFor(profiles[static_cast<size_t>(primary_index)],
-                       concurrent, scan_times, variant);
+  // A one-primary table over the mix: partner k is the mix's k-th query.
+  const TemplateProfile* primary =
+      &profiles[static_cast<size_t>(primary_index)];
+  const CqiTable table({&primary, 1}, concurrent, scan_times);
+  std::vector<int> partners(concurrent.size());
+  std::iota(partners.begin(), partners.end(), 0);
+  CONTENDER_RETURN_IF_ERROR(table.CheckPartners(partners));
+  return table.Cqi(0, partners, variant);
 }
 
 }  // namespace contender

@@ -36,26 +36,27 @@ struct CqiTerms {
   double r = 0.0;        ///< Eq. 4, truncated at zero (a ratio)
 };
 
-/// The CQI inputs of a set of templates (addressed by position), resolved
-/// once: per (primary p, concurrent c) pair, ω_c (Eq. 2) and c's fact
-/// tables p does not scan (the τ_c candidates of Eq. 3, with s_f); per
-/// template, l_min, I/O seconds and the fact tables it scans.
+/// The CQI inputs of a set of primaries and a set of partners (each
+/// addressed by its position in its own set), resolved once: per (primary
+/// p, partner c) pair, ω_c (Eq. 2) and c's fact tables p does not scan
+/// (the τ_c candidates of Eq. 3, with s_f); per partner, l_min, I/O
+/// seconds and the fact tables it scans.
 class CqiTable {
  public:
   CqiTable() = default;
-  /// Only the first `num_primaries` templates can be a primary; memory is
-  /// O(num_primaries * templates.size()).
-  CqiTable(std::span<const TemplateProfile* const> templates,
-           const ScanTimes& scan_times, size_t num_primaries);
+  /// Memory is O(primaries.size() * partners.size()).
+  CqiTable(std::span<const TemplateProfile* const> primaries,
+           std::span<const TemplateProfile* const> partners,
+           const ScanTimes& scan_times);
 
-  /// The kernel's preconditions on a mix of valid positions: at least one
-  /// partner (InvalidArgument), and a positive l_min for every partner,
-  /// since Eq. 4 divides by it (FailedPrecondition).
+  /// The kernel's preconditions on a mix: at least one partner, each a
+  /// valid partner position (InvalidArgument), and a positive l_min for
+  /// every partner, since Eq. 4 divides by it (FailedPrecondition).
   [[nodiscard]] Status CheckPartners(std::span<const int> partners) const;
 
   /// The CQI kernel, Eqs. 2–4 for the partner at `position`: τ summed in
   /// the partner's fact-table order, then r = ((io - ω) - τ) / l_min
-  /// truncated at zero. Requires primary < num_primaries and CheckPartners
+  /// truncated at zero. Requires a valid primary position and CheckPartners
   /// to accept the partner at `position`.
   [[nodiscard]] CqiTerms Terms(int primary, std::span<const int> partners,
                                size_t position, CqiVariant variant) const;
@@ -66,7 +67,7 @@ class CqiTable {
                                CqiVariant variant) const;
 
  private:
-  struct Template {
+  struct Partner {
     units::Seconds isolated_latency;  // l_min
     units::Seconds io_seconds;        // l_min * p
   };
@@ -83,33 +84,26 @@ class CqiTable {
     size_t num_candidates = 0;
   };
 
-  [[nodiscard]] bool Scans(int t, size_t table) const {
-    return scans_[static_cast<size_t>(t) * num_tables_ + table] != 0;
+  [[nodiscard]] bool Scans(int c, size_t table) const {
+    return scans_[static_cast<size_t>(c) * num_tables_ + table] != 0;
   }
 
-  std::vector<Template> templates_;
-  std::vector<Pair> pairs_;  // [primary * templates_.size() + concurrent]
+  std::vector<Partner> partners_;
+  std::vector<Pair> pairs_;  // [primary * partners_.size() + partner]
   std::vector<Candidate> candidates_;
-  size_t num_tables_ = 0;       // distinct fact tables in the set
-  std::vector<uint8_t> scans_;  // [template * num_tables_ + table]
+  size_t num_tables_ = 0;       // distinct fact tables of the partners
+  std::vector<uint8_t> scans_;  // [partner * num_tables_ + table]
 };
 
 /// Computes r_{t,m} for `primary` against `concurrent` (both are workload
 /// indices into `profiles`; repeats allowed). `scan_times` maps fact-table
 /// id to its isolated scan time s_f. Negative per-query I/O estimates are
-/// truncated to zero (paper §4.1).
+/// truncated to zero (paper §4.1). Builds a CqiTable per call.
 StatusOr<units::Cqi> ComputeCqi(const std::vector<TemplateProfile>& profiles,
                                 const ScanTimes& scan_times,
                                 int primary_index,
                                 const std::vector<int>& concurrent_indices,
                                 CqiVariant variant);
-
-/// Profile-based overload: the primary need not belong to `profiles`
-/// (used when predicting for a new, unseen template).
-StatusOr<units::Cqi> ComputeCqiFor(
-    const TemplateProfile& primary,
-    const std::vector<const TemplateProfile*>& concurrent,
-    const ScanTimes& scan_times, CqiVariant variant);
 
 }  // namespace contender
 

@@ -25,6 +25,14 @@ units::Seconds LatencyInMix(const QsModel& qs, units::Seconds l_min,
   return std::max(latency, 0.5 * l_min);
 }
 
+/// The statistic a QS slope is transferred from (§5.3), for a template
+/// with continuum [l_min, l_max] at the transfer model's MPL.
+double FeatureValue(TransferFeature feature, units::Seconds l_min,
+                    units::Seconds l_max) {
+  if (feature == TransferFeature::kIsolatedLatency) return l_min.value();
+  return 1.0 / std::max(l_max / l_min - 1.0, 0.05);
+}
+
 }  // namespace
 
 StatusOr<ContenderPredictor> ContenderPredictor::Train(
@@ -33,6 +41,9 @@ StatusOr<ContenderPredictor> ContenderPredictor::Train(
   if (profiles.size() < 4) {
     return Status::InvalidArgument(
         "ContenderPredictor: need >= 4 known templates");
+  }
+  for (int mpl : options.mpls) {
+    if (mpl < 1) return Status::InvalidArgument("ContenderPredictor: MPL < 1");
   }
   ContenderPredictor p;
   p.options_ = options;
@@ -57,16 +68,12 @@ StatusOr<ContenderPredictor> ContenderPredictor::Train(
               "ContenderPredictor: no reference QS models at an MPL; "
               "missing observations?");
         }
-        StatusOr<QsTransferModel> transfer =
-            options.transfer_feature == TransferFeature::kIsolatedLatency
-                ? QsTransferModel::Fit(p.profiles_, *models)
-                : QsTransferModel::FitOnFeature(
-                      p.profiles_, *models, [mpl](const TemplateProfile& t) {
-                        const double slowdown =
-                            t.spoiler_latency.at(mpl.value()) /
-                            t.isolated_latency;
-                        return 1.0 / std::max(slowdown - 1.0, 0.05);
-                      });
+        // Every template with a reference model has l_max at this MPL.
+        auto transfer = QsTransferModel::FitOnFeature(
+            p.profiles_, *models, [&options, mpl](const TemplateProfile& t) {
+              return FeatureValue(options.transfer_feature, t.isolated_latency,
+                                  t.spoiler_latency.at(mpl.value()));
+            });
         if (!transfer.ok()) return transfer.status();
         return std::make_pair(std::move(*models), std::move(*transfer));
       });
@@ -74,7 +81,9 @@ StatusOr<ContenderPredictor> ContenderPredictor::Train(
     if (!fits[k].ok()) return fits[k].status();
     const int mpl = options.mpls[k];
     p.reference_models_[mpl] = std::move(fits[k]->first);
-    p.transfer_models_.emplace(mpl, std::move(fits[k]->second));
+    p.transfer_models_.resize(
+        std::max(p.transfer_models_.size(), static_cast<size_t>(mpl) + 1));
+    p.transfer_models_[static_cast<size_t>(mpl)] = std::move(fits[k]->second);
   }
 
   KnnSpoilerPredictor::Options knn_opts;
@@ -85,8 +94,28 @@ StatusOr<ContenderPredictor> ContenderPredictor::Train(
   p.knn_spoiler_.emplace(std::move(*knn));
   std::vector<const TemplateProfile*> known;
   for (const TemplateProfile& profile : p.profiles_) known.push_back(&profile);
-  p.cqi_table_ = CqiTable(known, p.scan_times_, known.size());
+  p.cqi_table_ = CqiTable(known, known, p.scan_times_);
   p.CompileKnownModels();
+
+  // Tier 1's records: each known template treated as new (§6). A refit
+  // changes none of their inputs, so WithRefitTemplates copies them.
+  const size_t n = p.profiles_.size();
+  p.transferred_models_.assign(p.transfer_models_.size() * n, KnownModel{});
+  for (size_t mpl = 1; mpl < p.transfer_models_.size(); ++mpl) {
+    if (!p.transfer_models_[mpl].has_value()) continue;
+    for (size_t t = 0; t < n; ++t) {
+      const units::Seconds l_min = p.profiles_[t].isolated_latency;
+      auto l_max = p.PredictSpoilerLatency(p.profiles_[t],
+                                           units::Mpl(static_cast<int>(mpl)));
+      if (!l_max.ok() || !units::LatencyRange::Make(l_min, *l_max).ok()) {
+        continue;
+      }
+      p.transferred_models_[mpl * n + t] = {
+          p.transfer_models_[mpl]->PredictFromFeatureValue(
+              FeatureValue(options.transfer_feature, l_min, *l_max)),
+          *l_max, true};
+    }
+  }
   return p;
 }
 
@@ -97,7 +126,6 @@ void ContenderPredictor::CompileKnownModels() {
   known_models_.assign(static_cast<size_t>(std::max(max_mpl, 0) + 1) * n,
                        KnownModel{});
   for (const auto& [mpl, models] : reference_models_) {
-    if (mpl < 1) continue;  // PredictKnown's MPL is partners + 1
     for (const auto& [t, qs] : models) {
       const TemplateProfile& profile = profiles_[static_cast<size_t>(t)];
       auto l_max = profile.spoiler_latency.find(mpl);
@@ -151,11 +179,11 @@ StatusOr<std::map<int, QsModel>> ContenderPredictor::ReferenceModels(
 
 StatusOr<QsTransferModel> ContenderPredictor::TransferModel(
     units::Mpl mpl) const {
-  auto it = transfer_models_.find(mpl.value());
-  if (it == transfer_models_.end()) {
+  const size_t at = static_cast<size_t>(mpl.value());  // < 0 wraps past
+  if (at >= transfer_models_.size() || !transfer_models_[at].has_value()) {
     return Status::NotFound("no transfer model at this MPL");
   }
-  return it->second;
+  return *transfer_models_[at];
 }
 
 StatusOr<units::Seconds> ContenderPredictor::PredictSpoilerLatency(
@@ -163,49 +191,13 @@ StatusOr<units::Seconds> ContenderPredictor::PredictSpoilerLatency(
   return knn_spoiler_->Predict(profile, mpl);
 }
 
-StatusOr<units::Seconds> ContenderPredictor::ResolveSpoiler(
-    const TemplateProfile& profile, units::Mpl mpl,
-    SpoilerSource source) const {
-  if (source == SpoilerSource::kMeasured) {
-    auto it = profile.spoiler_latency.find(mpl.value());
-    if (it == profile.spoiler_latency.end()) {
-      return Status::FailedPrecondition(
-          "profile has no measured spoiler latency at this MPL");
-    }
-    return it->second;
-  }
-  return PredictSpoilerLatency(profile, mpl);
-}
-
-StatusOr<units::Seconds> ContenderPredictor::PredictWithModel(
-    const TemplateProfile& primary, const QsModel& qs,
-    const std::vector<int>& concurrent, units::Seconds l_max) const {
-  std::vector<const TemplateProfile*> conc;
-  for (int c : concurrent) {
-    if (c < 0 || static_cast<size_t>(c) >= profiles_.size()) {
-      return Status::InvalidArgument("bad concurrent template index");
-    }
-    conc.push_back(&profiles_[static_cast<size_t>(c)]);
-  }
-  CONTENDER_ASSIGN_OR_RETURN(
-      const units::Cqi cqi,
-      ComputeCqiFor(primary, conc, scan_times_, options_.variant));
-  CONTENDER_RETURN_IF_ERROR(
-      units::LatencyRange::Make(primary.isolated_latency, l_max).status());
-  return LatencyInMix(qs, primary.isolated_latency, l_max, cqi);
-}
-
-StatusOr<units::Seconds> ContenderPredictor::PredictKnown(
-    int template_index, const std::vector<int>& concurrent_indices) const {
+StatusOr<units::Seconds> ContenderPredictor::PredictCompiled(
+    const std::vector<KnownModel>& models, int template_index,
+    const std::vector<int>& concurrent_indices) const {
   const size_t n = profiles_.size();
   const size_t size = concurrent_indices.size();
   if (template_index < 0 || static_cast<size_t>(template_index) >= n) {
     return Status::InvalidArgument("unknown template index");
-  }
-  const size_t slot = (size + 1) * n + static_cast<size_t>(template_index);
-  if (slot >= known_models_.size() || !known_models_[slot].valid) {
-    return Status::NotFound(
-        "no usable QS model for this template at this MPL");
   }
   // Evaluate the sorted mix, so the answer is a pure function of the
   // multiset: CQI sums over the mix in order, and floating-point addition
@@ -217,58 +209,58 @@ StatusOr<units::Seconds> ContenderPredictor::PredictKnown(
                       : std::span(spilled);
   for (size_t i = 0; i < partners.size(); ++i) {
     const int c = concurrent_indices[i];
-    if (c < 0 || static_cast<size_t>(c) >= n) {
-      return Status::InvalidArgument("bad concurrent template index");
-    }
     // Insertion sort: mixes are a handful of partners.
     size_t j = i;
     for (; j > 0 && partners[j - 1] > c; --j) partners[j] = partners[j - 1];
     partners[j] = c;
   }
   CONTENDER_RETURN_IF_ERROR(cqi_table_.CheckPartners(partners));
-  const KnownModel& model = known_models_[slot];
+  const size_t slot = (size + 1) * n + static_cast<size_t>(template_index);
+  if (slot >= models.size() || !models[slot].valid) {
+    return Status::NotFound(
+        "no usable QS model for this template at this MPL");
+  }
+  const KnownModel& model = models[slot];
   return LatencyInMix(
       model.qs, profiles_[static_cast<size_t>(template_index)].isolated_latency,
       model.l_max, cqi_table_.Cqi(template_index, partners, options_.variant));
 }
 
-StatusOr<units::Seconds> ContenderPredictor::PredictNew(
+StatusOr<units::Seconds> ContenderPredictor::PredictNewFromTransfer(
     const TemplateProfile& new_profile,
-    const std::vector<int>& concurrent_indices,
-    SpoilerSource spoiler_source) const {
+    const std::vector<int>& concurrent_indices, SpoilerSource spoiler_source,
+    std::optional<double> known_slope) const {
   const units::Mpl mpl(static_cast<int>(concurrent_indices.size()) + 1);
-  auto transfer_it = transfer_models_.find(mpl.value());
-  if (transfer_it == transfer_models_.end()) {
-    return Status::NotFound("no transfer model at this MPL");
-  }
-  auto l_max = ResolveSpoiler(new_profile, mpl, spoiler_source);
-  if (!l_max.ok()) return l_max.status();
-  QsModel qs;
-  if (options_.transfer_feature == TransferFeature::kIsolatedLatency) {
-    qs = transfer_it->second.PredictFromIsolatedLatency(
-        new_profile.isolated_latency);
+  CONTENDER_ASSIGN_OR_RETURN(const QsTransferModel transfer,
+                             TransferModel(mpl));
+  units::Seconds l_max;
+  if (spoiler_source == SpoilerSource::kMeasured) {
+    auto it = new_profile.spoiler_latency.find(mpl.value());
+    if (it == new_profile.spoiler_latency.end()) {
+      return Status::FailedPrecondition(
+          "profile has no measured spoiler latency at this MPL");
+    }
+    l_max = it->second;
   } else {
-    const double slowdown = *l_max / new_profile.isolated_latency;
-    qs = transfer_it->second.PredictFromFeatureValue(
-        1.0 / std::max(slowdown - 1.0, 0.05));
+    CONTENDER_ASSIGN_OR_RETURN(l_max, PredictSpoilerLatency(new_profile, mpl));
   }
-  return PredictWithModel(new_profile, qs, concurrent_indices, *l_max);
-}
-
-StatusOr<units::Seconds> ContenderPredictor::PredictNewWithKnownSlope(
-    const TemplateProfile& new_profile,
-    const std::vector<int>& concurrent_indices, double known_slope,
-    SpoilerSource spoiler_source) const {
-  const units::Mpl mpl(static_cast<int>(concurrent_indices.size()) + 1);
-  auto transfer_it = transfer_models_.find(mpl.value());
-  if (transfer_it == transfer_models_.end()) {
-    return Status::NotFound("no transfer model at this MPL");
-  }
+  const units::Seconds l_min = new_profile.isolated_latency;
   const QsModel qs =
-      transfer_it->second.PredictInterceptFromSlope(known_slope);
-  auto l_max = ResolveSpoiler(new_profile, mpl, spoiler_source);
-  if (!l_max.ok()) return l_max.status();
-  return PredictWithModel(new_profile, qs, concurrent_indices, *l_max);
+      known_slope.has_value()
+          ? transfer.PredictInterceptFromSlope(*known_slope)
+          : transfer.PredictFromFeatureValue(
+                FeatureValue(options_.transfer_feature, l_min, l_max));
+  // The new profile is the one primary; the known templates are the
+  // partners, at their own indices.
+  std::vector<const TemplateProfile*> known;
+  known.reserve(profiles_.size());
+  for (const TemplateProfile& profile : profiles_) known.push_back(&profile);
+  const TemplateProfile* primary = &new_profile;
+  const CqiTable table({&primary, 1}, known, scan_times_);
+  CONTENDER_RETURN_IF_ERROR(table.CheckPartners(concurrent_indices));
+  CONTENDER_RETURN_IF_ERROR(units::LatencyRange::Make(l_min, l_max).status());
+  return LatencyInMix(qs, l_min, l_max,
+                      table.Cqi(0, concurrent_indices, options_.variant));
 }
 
 }  // namespace contender

@@ -67,35 +67,55 @@ class ContenderPredictor {
 
   /// Predicts the latency of a *known* template (index into the training
   /// profiles) executing with the given concurrent templates, evaluated on
-  /// the sorted mix. NotFound when the template has no QS model, measured
-  /// spoiler latency or valid continuum at the mix's MPL.
+  /// the sorted mix. InvalidArgument on a bad index or an empty mix;
+  /// NotFound when the template has no QS model, measured spoiler latency
+  /// or valid continuum at the mix's MPL.
   StatusOr<units::Seconds> PredictKnown(
-      int template_index, const std::vector<int>& concurrent_indices) const;
+      int template_index, const std::vector<int>& concurrent_indices) const {
+    return PredictCompiled(known_models_, template_index, concurrent_indices);
+  }
+
+  /// PredictKnown with the template treated as new: its QS model
+  /// transferred from its isolated statistics and its l_max predicted by
+  /// the spoiler KNN, both compiled at Train. Bit-identical to
+  /// PredictNew(profiles()[template_index], sorted mix, kKnnPredicted).
+  StatusOr<units::Seconds> PredictTransferred(
+      int template_index, const std::vector<int>& concurrent_indices) const {
+    return PredictCompiled(transferred_models_, template_index,
+                           concurrent_indices);
+  }
 
   /// Predicts the latency of a *new* template described only by
   /// `new_profile` (isolated stats + plan semantics; spoiler latencies
   /// required only for SpoilerSource::kMeasured). Concurrent queries are
-  /// known-workload indices.
+  /// known-workload indices, evaluated in the order given.
   StatusOr<units::Seconds> PredictNew(
       const TemplateProfile& new_profile,
       const std::vector<int>& concurrent_indices,
-      SpoilerSource spoiler_source) const;
+      SpoilerSource spoiler_source) const {
+    return PredictNewFromTransfer(new_profile, concurrent_indices,
+                                  spoiler_source, std::nullopt);
+  }
 
   /// Unknown-Y variant (§6.3): the new template's own QS slope is supplied;
   /// only the intercept is transferred.
   StatusOr<units::Seconds> PredictNewWithKnownSlope(
       const TemplateProfile& new_profile,
       const std::vector<int>& concurrent_indices, double known_slope,
-      SpoilerSource spoiler_source) const;
+      SpoilerSource spoiler_source) const {
+    return PredictNewFromTransfer(new_profile, concurrent_indices,
+                                  spoiler_source, known_slope);
+  }
 
   /// Online-refit entry point (§6: the models are cheap enough to maintain
   /// incrementally): returns a copy of this predictor whose per-template QS
   /// reference models for `template_indices` are refit at every trained MPL
   /// from `observations` — the *full* training set, i.e. the original
-  /// observations plus whatever has streamed in since. Transfer models,
-  /// the spoiler KNN and the profiles are untouched. A template whose
-  /// refreshed training set is too small or degenerate at some MPL keeps
-  /// its existing model there, so a refit never loses coverage.
+  /// observations plus whatever has streamed in since. Everything else
+  /// (transfer models, spoiler KNN, PredictTransferred's records,
+  /// profiles) is copied. A template whose refreshed training set is too
+  /// small or degenerate at some MPL keeps its existing model there, so a
+  /// refit never loses coverage.
   /// serve::RefitController builds hot-swappable snapshots through this.
   StatusOr<ContenderPredictor> WithRefitTemplates(
       const std::vector<MixObservation>& observations,
@@ -107,7 +127,6 @@ class ContenderPredictor {
   /// Reference QS models at `mpl` (template index -> model).
   StatusOr<std::map<int, QsModel>> ReferenceModels(units::Mpl mpl) const;
   StatusOr<QsTransferModel> TransferModel(units::Mpl mpl) const;
-  const KnnSpoilerPredictor& knn_spoiler() const { return *knn_spoiler_; }
   /// Predicted spoiler latency for an arbitrary profile.
   StatusOr<units::Seconds> PredictSpoilerLatency(
       const TemplateProfile& profile, units::Mpl mpl) const;
@@ -115,9 +134,9 @@ class ContenderPredictor {
  private:
   ContenderPredictor() = default;
 
-  /// What PredictKnown reads at one (MPL, template): the template's QS
-  /// model and l_max there, and whether both exist and span a valid
-  /// continuum (l_min > 0, l_max > l_min).
+  /// What a compiled prediction reads at one (MPL, template): a QS model
+  /// and l_max there, and whether both exist and span a valid continuum
+  /// (l_min > 0, l_max > l_min).
   struct KnownModel {
     QsModel qs;
     units::Seconds l_max;
@@ -127,24 +146,29 @@ class ContenderPredictor {
   /// Rebuilds known_models_ from the reference models and the measured
   /// spoiler latencies; Train and WithRefitTemplates end with it.
   void CompileKnownModels();
-  StatusOr<units::Seconds> PredictWithModel(
-      const TemplateProfile& primary, const QsModel& qs,
-      const std::vector<int>& concurrent, units::Seconds l_max) const;
-  StatusOr<units::Seconds> ResolveSpoiler(const TemplateProfile& profile,
-                                          units::Mpl mpl,
-                                          SpoilerSource source) const;
+  /// PredictKnown over `models` (known_models_ or transferred_models_).
+  StatusOr<units::Seconds> PredictCompiled(
+      const std::vector<KnownModel>& models, int template_index,
+      const std::vector<int>& concurrent_indices) const;
+  /// PredictNew, or PredictNewWithKnownSlope when `known_slope` is set.
+  StatusOr<units::Seconds> PredictNewFromTransfer(
+      const TemplateProfile& new_profile,
+      const std::vector<int>& concurrent_indices,
+      SpoilerSource spoiler_source, std::optional<double> known_slope) const;
 
   Options options_;
   std::vector<TemplateProfile> profiles_;
   ScanTimes scan_times_;
   std::map<int, std::map<int, QsModel>> reference_models_;  // mpl -> models
-  std::map<int, QsTransferModel> transfer_models_;          // mpl -> transfer
+  std::vector<std::optional<QsTransferModel>> transfer_models_;  // by mpl
   std::optional<KnnSpoilerPredictor> knn_spoiler_;
   /// CQI inputs of the known templates, positioned like profiles_.
   CqiTable cqi_table_;
   /// Dense [mpl][template] records, at mpl * profiles_.size() + template
-  /// for every mpl up to the largest trained one.
+  /// for every mpl up to the largest trained one: the reference QS models
+  /// with measured l_max, and the transferred ones with KNN l_max.
   std::vector<KnownModel> known_models_;
+  std::vector<KnownModel> transferred_models_;
 };
 
 }  // namespace contender

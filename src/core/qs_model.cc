@@ -42,12 +42,13 @@ StatusOr<QsTrainingSet> BuildQsTrainingSet(
       const units::LatencyRange range,
       units::LatencyRange::Make(primary.isolated_latency, lmax_it->second));
 
-  // One CQI table serves every observation: the primary at position 0,
-  // then each profile at its index + 1.
-  std::vector<const TemplateProfile*> templates = {&primary};
-  for (const TemplateProfile& p : profiles) templates.push_back(&p);
-  const CqiTable table(templates, scan_times, /*num_primaries=*/1);
-  std::vector<int> partners;
+  // One CQI table serves every observation: the primary against every
+  // profile, partners addressed by their workload index.
+  std::vector<const TemplateProfile*> partners;
+  partners.reserve(profiles.size());
+  for (const TemplateProfile& p : profiles) partners.push_back(&p);
+  const TemplateProfile* primary_ptr = &primary;
+  const CqiTable table({&primary_ptr, 1}, partners, scan_times);
 
   QsTrainingSet set;
   for (const MixObservation& obs : observations) {
@@ -56,17 +57,10 @@ StatusOr<QsTrainingSet> BuildQsTrainingSet(
       ++set.dropped_outliers;
       continue;
     }
-    partners.clear();
-    for (int c : obs.concurrent_indices) {
-      if (c < 0 || static_cast<size_t>(c) >= profiles.size()) {
-        return Status::InvalidArgument("CQI: bad concurrent index");
-      }
-      partners.push_back(c + 1);
-    }
-    CONTENDER_RETURN_IF_ERROR(table.CheckPartners(partners));
+    CONTENDER_RETURN_IF_ERROR(table.CheckPartners(obs.concurrent_indices));
     auto point = ContinuumPoint(obs.latency, range);
     if (!point.ok()) return point.status();
-    set.cqi.push_back(table.Cqi(0, partners, variant));
+    set.cqi.push_back(table.Cqi(0, obs.concurrent_indices, variant));
     set.continuum.push_back(*point);
     set.latency.push_back(obs.latency);
   }

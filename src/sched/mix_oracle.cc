@@ -28,7 +28,9 @@ units::Seconds PredictInMixUncached(const ContenderPredictor& predictor,
   auto predicted = predictor.PredictKnown(template_index, concurrent);
   if (predicted.ok()) return *predicted;
   // No model covers this (template, MPL); degrade to the continuum lower
-  // bound so the score stays defined.
+  // bound so the score stays defined. A bad index is no such case.
+  CONTENDER_CHECK(predicted.status().code() != StatusCode::kInvalidArgument)
+      << "PredictInMixUncached: " << predicted.status();
   if (used_fallback != nullptr) *used_fallback = true;
   return isolated;
 }

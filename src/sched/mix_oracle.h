@@ -35,7 +35,8 @@ class TemplateHealth {
 /// The shared, lock-free in-mix prediction: ContenderPredictor::PredictKnown,
 /// or the isolated latency when no model covers the (template, MPL) pair,
 /// so the answer is total and a pure function of the (template, multiset)
-/// pair. `template_index` must be valid; `used_fallback`, if non-null, is
+/// pair. `template_index` and every partner index must be valid (a bad one
+/// is a CHECK failure, not a fallback); `used_fallback`, if non-null, is
 /// set to whether the fallback fired.
 units::Seconds PredictInMixUncached(const ContenderPredictor& predictor,
                                     int template_index,

@@ -1,6 +1,5 @@
 #include "serve/model_snapshot.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "util/failpoint.h"
@@ -33,36 +32,28 @@ std::shared_ptr<const ModelSnapshot> ModelSnapshot::Create(
 TieredPrediction ModelSnapshot::PredictInMixTiered(
     int template_index, const std::vector<int>& concurrent,
     bool allow_full_model) const {
-  const auto& profiles = predictor_.profiles();
-  CONTENDER_CHECK(template_index >= 0 &&
-                  static_cast<size_t>(template_index) < profiles.size())
-      << "ModelSnapshot: unknown template index " << template_index;
-  const TemplateProfile& profile =
-      profiles[static_cast<size_t>(template_index)];
+  const units::Seconds isolated = IsolatedLatency(template_index);
   // An empty mix is MPL 1: the isolated latency IS the model's answer, not
   // a degradation — short-circuit before any fail-point probe so disarmed
   // and armed runs agree on empty mixes.
   if (concurrent.empty()) {
-    return {profile.isolated_latency, DegradationTier::kFullModel};
+    return {isolated, DegradationTier::kFullModel};
   }
   // Tier 0 is the same PredictKnown call PredictInMixUncached makes, so it
   // is bit-identical to PredictInMix by construction.
   if (allow_full_model && !kQsModelFailPoint.ShouldFail()) {
     auto full = predictor_.PredictKnown(template_index, concurrent);
     if (full.ok()) return {*full, DegradationTier::kFullModel};
+    CONTENDER_CHECK(full.status().code() != StatusCode::kInvalidArgument)
+        << "ModelSnapshot: " << full.status();
   }
-  // PredictNew sums the mix in the order given; sort it so tier 1 is a
-  // pure function of the multiset too.
-  std::vector<int> canonical = concurrent;
-  std::sort(canonical.begin(), canonical.end());
   if (!kTransferFailPoint.ShouldFail()) {
-    auto transferred = predictor_.PredictNew(profile, canonical,
-                                             SpoilerSource::kKnnPredicted);
-    if (transferred.ok()) {
-      return {*transferred, DegradationTier::kTransferredQs};
-    }
+    auto transfer = predictor_.PredictTransferred(template_index, concurrent);
+    if (transfer.ok()) return {*transfer, DegradationTier::kTransferredQs};
+    CONTENDER_CHECK(transfer.status().code() != StatusCode::kInvalidArgument)
+        << "ModelSnapshot: " << transfer.status();
   }
-  return {profile.isolated_latency, DegradationTier::kIsolatedHeuristic};
+  return {isolated, DegradationTier::kIsolatedHeuristic};
 }
 
 units::Seconds ModelSnapshot::IsolatedLatency(int template_index) const {

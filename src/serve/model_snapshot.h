@@ -51,16 +51,16 @@ class ModelSnapshot {
                                        concurrent);
   }
 
-  /// The degradation ladder (serve/health.h): full QS model →
-  /// transferred-QS via the KNN spoiler (paper §6's new-template path) →
-  /// isolated latency, stamping the tier that answered. Pass
-  /// `allow_full_model = false` when the template's circuit breaker is
-  /// open to start the descent at tier 1. With the full model allowed, no
-  /// open breaker and no armed fail points, the answer is bit-identical to
-  /// PredictInMix (same canonicalized pure function). Lock-free except for
-  /// the fail-point probes ("serve.snapshot.qs_model",
-  /// "serve.snapshot.transfer" — a fired probe forces the descent past
-  /// that tier).
+  /// The degradation ladder (serve/health.h): PredictKnown →
+  /// PredictTransferred (paper §6's new-template path) → isolated latency,
+  /// stamping the tier that answered; each tier is a pure function of the
+  /// multiset. Pass `allow_full_model = false` when the template's circuit
+  /// breaker is open to start the descent at tier 1. With the full model
+  /// allowed, no open breaker and no armed fail points, the answer is
+  /// bit-identical to PredictInMix. Only a missing model descends; a bad
+  /// index is a CHECK failure. Lock-free except for the fail-point probes
+  /// ("serve.snapshot.qs_model", "serve.snapshot.transfer" — a fired probe
+  /// forces the descent past that tier).
   [[nodiscard]] TieredPrediction PredictInMixTiered(
       int template_index, const std::vector<int>& concurrent,
       bool allow_full_model = true) const;

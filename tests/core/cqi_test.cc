@@ -40,7 +40,7 @@ CqiTerms TermsOf(const std::vector<TemplateProfile>& profiles, int primary,
                  const std::vector<int>& partners, size_t position) {
   std::vector<const TemplateProfile*> all;
   for (const TemplateProfile& p : profiles) all.push_back(&p);
-  const CqiTable table(all, TestScanTimes(), all.size());
+  const CqiTable table(all, all, TestScanTimes());
   EXPECT_TRUE(table.CheckPartners(partners).ok());
   return table.Terms(primary, partners, position, CqiVariant::kFull);
 }
@@ -134,15 +134,29 @@ TEST(CqiTest, InvalidArguments) {
   EXPECT_FALSE(ComputeCqi(profiles, scans, 0, {7}, CqiVariant::kFull).ok());
 }
 
-TEST(CqiTest, ProfileOverloadMatchesIndexVersion) {
+TEST(CqiTest, SplitTableMatchesIndexVersion) {
+  // The primary need not be a partner (a new template): a table of one
+  // primary over the partners answers as ComputeCqi does, whichever
+  // partner set holds the mix.
   auto profiles = TestProfiles();
   auto scans = TestScanTimes();
-  std::vector<const TemplateProfile*> conc = {&profiles[1], &profiles[2]};
-  auto a = ComputeCqiFor(profiles[0], conc, scans, CqiVariant::kFull);
-  auto b = ComputeCqi(profiles, scans, 0, {1, 2}, CqiVariant::kFull);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_DOUBLE_EQ(a->value(), b->value());
+  const TemplateProfile* primary = &profiles[0];
+  const std::vector<const TemplateProfile*> mix = {&profiles[1],
+                                                   &profiles[2]};
+  const std::vector<const TemplateProfile*> all = {
+      &profiles[0], &profiles[1], &profiles[2]};
+  const CqiTable over_mix({&primary, 1}, mix, scans);
+  const CqiTable over_all({&primary, 1}, all, scans);
+  const std::vector<int> mix_positions = {0, 1};
+  const std::vector<int> all_positions = {1, 2};
+  ASSERT_TRUE(over_mix.CheckPartners(mix_positions).ok());
+  ASSERT_TRUE(over_all.CheckPartners(all_positions).ok());
+  auto expected = ComputeCqi(profiles, scans, 0, {1, 2}, CqiVariant::kFull);
+  ASSERT_TRUE(expected.ok());
+  EXPECT_EQ(over_mix.Cqi(0, mix_positions, CqiVariant::kFull).value(),
+            expected->value());
+  EXPECT_EQ(over_all.Cqi(0, all_positions, CqiVariant::kFull).value(),
+            expected->value());
 }
 
 }  // namespace

@@ -54,6 +54,14 @@ TEST(MixOracleTest, EveryFallbackProbeIsCounted) {
   EXPECT_EQ(oracle.misses(), 2u);
 }
 
+TEST(MixOracleDeathTest, BadPartnerIndexIsACallerError) {
+  // A fallback means no model covers the pair; a partner index outside
+  // the workload is no such case.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH((void)PredictInMixUncached(SharedPredictor(), 0, {-3, 1}),
+               "bad partner index");
+}
+
 // A controllable health signal for degradation tests.
 class StubHealth : public TemplateHealth {
  public:

@@ -19,62 +19,20 @@
 #include "core/continuum.h"
 #include "core/cqi.h"
 #include "core/qs_model.h"
+#include "reference_support.h"
 #include "sched/mix_oracle.h"
 #include "test_support.h"
 
 namespace contender::sched {
 namespace {
 
+using contender::testing::Binomial;
+using contender::testing::ForEachMultiset;
+using contender::testing::RefCqi;
 using contender::testing::SharedTrainingData;
+using contender::testing::SweepCases;
 
 // ---- Reference: the map-based path, kept verbatim in arithmetic. ----
-
-units::Seconds RefScanTime(const ScanTimes& scan_times, sim::TableId f) {
-  auto it = scan_times.find(f);
-  return it == scan_times.end() ? units::Seconds() : it->second;
-}
-
-int RefCountScanners(const std::vector<const TemplateProfile*>& concurrent,
-                     sim::TableId f) {
-  int h = 0;
-  for (const TemplateProfile* c : concurrent) {
-    if (c->ScansFactTable(f)) ++h;
-  }
-  return h;
-}
-
-/// Eqs. 2-5 over profiles; false on a non-positive partner latency.
-bool RefCqi(const TemplateProfile& primary,
-            const std::vector<const TemplateProfile*>& concurrent,
-            const ScanTimes& scan_times, CqiVariant variant, double* cqi) {
-  if (concurrent.empty()) return false;
-  double sum = 0.0;
-  for (const TemplateProfile* cp : concurrent) {
-    const TemplateProfile& c = *cp;
-    units::Seconds total_io = c.isolated_latency * c.io_fraction;
-    units::Seconds omega;
-    units::Seconds tau;
-    if (variant != CqiVariant::kBaselineIo) {
-      for (sim::TableId f : c.fact_tables) {
-        if (primary.ScansFactTable(f)) omega += RefScanTime(scan_times, f);
-      }
-    }
-    if (variant == CqiVariant::kFull) {
-      for (sim::TableId f : c.fact_tables) {
-        if (primary.ScansFactTable(f)) continue;
-        const int h = RefCountScanners(concurrent, f);
-        if (h > 1) {
-          tau += (1.0 - 1.0 / static_cast<double>(h)) *
-                 RefScanTime(scan_times, f);
-        }
-      }
-    }
-    if (c.isolated_latency.value() <= 0.0) return false;
-    sum += std::max(0.0, (total_io - omega - tau) / c.isolated_latency);
-  }
-  *cqi = sum / static_cast<double>(concurrent.size());
-  return true;
-}
 
 /// The reference in-mix prediction; `models` is ReferenceModels per MPL.
 units::Seconds RefPredictInMix(
@@ -134,21 +92,6 @@ std::map<int, std::map<int, QsModel>> ModelsOf(
   return models;
 }
 
-/// Calls `visit` on every nondecreasing sequence of `size` values in
-/// [0, n): each multiset of that size exactly once.
-template <typename Visit>
-void ForEachMultiset(int n, int size, const Visit& visit) {
-  std::vector<int> mix(static_cast<size_t>(size), 0);
-  while (true) {
-    visit(mix);
-    int i = size - 1;
-    while (i >= 0 && mix[static_cast<size_t>(i)] == n - 1) --i;
-    if (i < 0) return;
-    const int next = mix[static_cast<size_t>(i)] + 1;
-    for (int j = i; j < size; ++j) mix[static_cast<size_t>(j)] = next;
-  }
-}
-
 struct SweepResult {
   uint64_t cases = 0;
   uint64_t fallbacks = 0;
@@ -196,12 +139,6 @@ SweepResult Sweep(const ContenderPredictor& predictor, CqiVariant variant,
   return result;
 }
 
-uint64_t Binomial(uint64_t n, uint64_t k) {
-  uint64_t r = 1;
-  for (uint64_t i = 1; i <= k; ++i) r = r * (n - k + i) / i;
-  return r;
-}
-
 class PredictInMixReferenceTest
     : public ::testing::TestWithParam<CqiVariant> {};
 
@@ -209,12 +146,7 @@ TEST_P(PredictInMixReferenceTest, EveryMultisetAtMpl2To5IsBitIdentical) {
   const ContenderPredictor predictor =
       TrainOn(SharedTrainingData().observations, GetParam());
   const SweepResult result = Sweep(predictor, GetParam(), {2, 3, 4, 5});
-  const uint64_t n = predictor.profiles().size();
-  uint64_t expected_cases = 0;
-  for (uint64_t k = 1; k <= 4; ++k) {
-    expected_cases += n * Binomial(n + k - 1, k);
-  }
-  EXPECT_EQ(result.cases, expected_cases);
+  EXPECT_EQ(result.cases, SweepCases(predictor.profiles().size(), 4));
   EXPECT_EQ(result.mismatches, 0u) << result.first_mismatch;
 }
 

@@ -53,5 +53,14 @@ TEST(ModelSnapshotTest, UncoveredMplFallsBackToIsolatedLatency) {
   EXPECT_TRUE(used_fallback);
 }
 
+TEST(ModelSnapshotDeathTest, BadPartnerIndexIsACallerError) {
+  // Only a missing model descends the ladder; a partner index outside the
+  // workload must not be answered with the isolated latency.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const auto snapshot = MakeSnapshot();
+  EXPECT_DEATH((void)snapshot->PredictInMixTiered(0, {99}),
+               "bad partner index");
+}
+
 }  // namespace
 }  // namespace contender::serve
